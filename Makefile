@@ -21,16 +21,18 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Compact-core smoke: freeze + legacy-vs-compact sweep on a 1k-AS
-# topology, verifying equal results and --jobs determinism (CI runs
+# Compact-core smoke: freeze + oracle-vs-compact enumerator sweep on a
+# 1k-AS topology, verifying equal results and --jobs determinism (CI runs
 # this too; `topo-full` adds the 10k and 50k sizes).
 bench-topo:
 	dune exec bench/main.exe -- topo
 
-# BOSCO best-response kernel sweep: fast O(W log W) vs reference O(W²)
-# dynamics at W ∈ {8..2048} plus the Service.trials --jobs determinism
-# check; exits non-zero on any fingerprint mismatch (CI runs the
-# `bosco-smoke` variant, capped at W = 128).
+# BOSCO best-response kernel sweep: time per best response of the fast
+# O(W log W) kernel vs the O(W²) reference of the test-only pan_oracle
+# library at W ∈ {8..2048}, plus the Service.trials --jobs determinism
+# check; exits non-zero on any threshold or fingerprint mismatch (CI
+# runs the `bosco-smoke` variant, capped at W = 128, through
+# bench-snapshot-smoke).
 bench-bosco:
 	dune exec bench/main.exe -- bosco
 
@@ -45,7 +47,7 @@ bench-faults:
 # percentiles under link churn on a 3k-AS topology, with the
 # incremental-vs-refreeze and -j1/-j4 transcript fingerprint checks;
 # exits non-zero on any mismatch (CI runs the `serve-smoke` variant
-# through the bench-serve-smoke alias, which also schema-checks the
+# through the bench-snapshot-smoke alias, which also schema-checks the
 # emitted BENCH_serve.json).
 bench-serve:
 	dune exec bench/main.exe -- serve
@@ -54,7 +56,7 @@ bench-serve:
 # at K = 1..32 over a 3k-AS compact core, deterministic probe failover
 # under an injected fault spec, and the all-intent serve drain with the
 # -j1/-j4 transcript fingerprint check; exits non-zero on any mismatch
-# (CI runs the `intent-smoke` variant through the bench-intent-smoke
+# (CI runs the `intent-smoke` variant through the bench-snapshot-smoke
 # alias, which also schema-checks the emitted BENCH_intent.json).
 bench-intent:
 	dune exec bench/main.exe -- intent
@@ -63,7 +65,7 @@ bench-intent:
 # enumeration, concurrent BOSCO negotiations, batch agreement splices —
 # timed at -j1/-j2/-j4 in negotiations/sec, with fingerprint, re-run,
 # and delta-oracle checks; exits non-zero on any mismatch (CI runs the
-# `market-smoke` variant through the bench-market-smoke alias, which
+# `market-smoke` variant through the bench-snapshot-smoke alias, which
 # also schema-checks the emitted BENCH_market.json).
 bench-market:
 	dune exec bench/main.exe -- market
@@ -74,7 +76,7 @@ bench-market:
 # -j4, with per-epoch welfare / agreement-count / PoD comparison lines
 # and the same fingerprint, re-run, and re-freeze-oracle checks as part
 # 13; exits non-zero on any mismatch (CI runs the `market-mech-smoke`
-# variant through the bench-market-mech-smoke alias, which also
+# variant through the bench-snapshot-smoke alias, which also
 # schema-checks the emitted BENCH_market_mech.json).
 bench-market-mech:
 	dune exec bench/main.exe -- market-mech

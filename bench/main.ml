@@ -19,17 +19,20 @@
    diversity run with the real clock, printing the metrics table and the
    span tree — the same data `panagree --metrics/--trace` exports.
 
+   Parts 6 and 7 compare against the reference implementations of the
+   test-only pan_oracle library (test/oracle).
+
    Part 6 measures the compact frozen-topology core (lib/topology
-   Compact/Bitset): freeze cost and legacy-vs-compact scenario_paths
-   sweep throughput on generated topologies, verifying equal results and
-   --jobs 1 = --jobs 4 determinism on the fly.
+   Compact/Bitset): freeze cost and scenario_paths sweep throughput of
+   the oracle's ASN-set enumerator vs Path_enum_compact on generated
+   topologies, verifying equal results and --jobs 1 = --jobs 4
+   determinism on the fly.
 
    Part 7 measures the BOSCO best-response kernel (lib/bosco
-   Strategy/Workspace): best-response dynamics with the fast
-   O(W log W) kernel vs the O(W²) reference across choice-set sizes,
-   verifying fingerprint equality (thresholds, rounds, convergence,
-   support) and --jobs 1 = --jobs 4 determinism of Service.trials on
-   the fly.
+   Strategy/Workspace): time per best response of the O(W log W)
+   Strategy.best_response vs the oracle's O(W²) reference across
+   choice-set sizes, verifying equal thresholds, then --jobs 1 =
+   --jobs 4 determinism of Service.trials.
 
    Part 8 measures the supervised runner (lib/runner Supervise/Fault):
    the E1 kernel fault-free vs supervised-with-retries vs under injected
@@ -37,10 +40,10 @@
    reproduces the fault-free fingerprint bit-for-bit at -j1 and -j4 and
    that the faulty runs actually exercised retries.
 
-   Part 9 measures the econ fast kernel (lib/econ Model_fast): the E8
-   method-comparison sweep with the flat SoA utility kernel vs the
-   map-based reference, verifying bit-identical reports and -j1 = -j4
-   fingerprints.
+   Part 9 measures the econ fast kernel (lib/econ Model_fast):
+   Model_fast.utilities vs the map-based Traffic_model.utilities on the
+   fig1 scenario, verifying bit-identical utilities, then the E8
+   method-comparison sweep's -j1 = -j4 fingerprints.
 
    Part 10 measures versioned topology snapshots (lib/topology
    Snapshot): Snapshot.load of a frozen graph vs re-parsing and
@@ -69,9 +72,14 @@
    freeze oracle, and emitting BENCH_market.json
    (`main.exe market[-smoke]`, `make bench-market`).
 
+   Part 14 runs Part 13 with the Both mechanism, comparing BOSCO and
+   the Nash-Peering qualifier per epoch on shared candidate streams, and
+   emits BENCH_market_mech.json (`main.exe market-mech[-smoke]`,
+   `make bench-market-mech`).
+
    Parts 7, 9 and 10 also emit machine-readable BENCH_<part>.json
    snapshots (Pan_obs.Bench_snap) recording wall-clock, throughput,
-   speedup and a result fingerprint; `main.exe validate-bench FILE...`
+   speedup and a result fingerprint; `panagree validate-bench FILE...`
    re-parses and schema-checks emitted files.
 
    Invocation: no argument runs everything at moderate scale;
@@ -80,7 +88,7 @@
    `main.exe topo-snapshot[-smoke]` runs Part 10 (full: 1k/10k/50k);
    `main.exe bosco` runs only Part 7 at W ∈ {8..2048} (used by
    `make bench-bosco`); `main.exe bosco-smoke` caps Part 7 at W = 128
-   and emits BENCH_bosco.json (used by CI); `main.exe econ[-smoke]`
+   (used by CI); both emit BENCH_bosco.json; `main.exe econ[-smoke]`
    runs Part 9 (60/24 scenarios); `main.exe faults` runs only Part 8
    (used by CI and `make bench-faults`).  The bosco, econ,
    topo-snapshot and faults parts exit non-zero on any fingerprint or
@@ -182,28 +190,36 @@ let bench_tests () =
   let g = Lazy.force shared_graph in
   let ases = Array.of_list (Graph.ases g) in
   let pick = ases.(Array.length ases / 2) in
+  (* E2-E5 enumerate over the frozen core, as fig3/fig5/fig6 do. *)
+  let c = Compact.freeze g in
+  let pick_i = Compact.index_of_exn c pick in
   (* E2/E3 kernel: the per-AS scenario path enumeration. *)
   let e2 =
     Test.make ~name:"E2 fig3: scenario_paths MA (one AS)"
       (Staged.stage (fun () ->
-           ignore (Path_enum.scenario_paths g Path_enum.Ma_all pick)))
+           ignore (Path_enum_compact.scenario_paths c Path_enum.Ma_all pick_i)))
   in
-  let geo = Geo.generate ~seed:11 g in
+  let geo = Geo.of_compact ~seed:11 c in
   let e4 =
     Test.make ~name:"E4 fig5: geodistance of one AS's GRC paths"
       (Staged.stage (fun () ->
-           Path_enum.iter_paths
-             (fun ~mid ~dst -> ignore (Geo.path3_geodistance geo pick mid dst))
-             (Path_enum.grc g pick)))
+           Path_enum_compact.iter_paths
+             (fun ~mid ~dst ->
+               ignore
+                 (Geo.path3_geodistance geo pick (Compact.id c mid)
+                    (Compact.id c dst)))
+             (Path_enum_compact.grc c pick_i)))
   in
-  let bw = Bandwidth.degree_gravity g in
+  let bw = Bandwidth.of_compact c in
   let e5 =
     Test.make ~name:"E5 fig6: bandwidth of one AS's GRC paths"
       (Staged.stage (fun () ->
-           Path_enum.iter_paths
+           Path_enum_compact.iter_paths
              (fun ~mid ~dst ->
-               ignore (Bandwidth.path3_bandwidth bw pick mid dst))
-             (Path_enum.grc g pick)))
+               ignore
+                 (Bandwidth.path3_bandwidth bw pick (Compact.id c mid)
+                    (Compact.id c dst)))
+             (Path_enum_compact.grc c pick_i)))
   in
   let bad = Pan_routing.Gadgets.bad_gadget () in
   let e7 =
@@ -551,6 +567,7 @@ let compact_sizes = function
 
 let compact_core_bench sizes =
   section "Compact core: legacy Path_enum vs Compact+Bitset (MA sweep)";
+  let module Legacy = Pan_oracle.Path_enum_legacy in
   Format.fprintf fmt "%-6s %7s %11s %11s %12s %9s  %s@." "size" "srcs"
     "freeze (s)" "legacy (s)" "compact (s)" "speedup" "equal";
   List.iter
@@ -570,9 +587,9 @@ let compact_core_bench sizes =
         time (fun () ->
             List.fold_left
               (fun (p, d) i ->
-                let m = Path_enum.scenario_paths g Path_enum.Ma_all ases.(i) in
-                ( p + Path_enum.total_count m,
-                  d + Asn.Set.cardinal (Path_enum.dest_set m) ))
+                let m = Legacy.scenario_paths g Legacy.Ma_all ases.(i) in
+                ( p + Legacy.total_count m,
+                  d + Asn.Set.cardinal (Legacy.dest_set m) ))
               (0, 0) sources)
       in
       let compact, t_compact =
@@ -622,86 +639,63 @@ let bosco_sizes = function
   | `Smoke -> [ 8; 32; 128 ]
   | `Full -> [ 8; 32; 128; 512; 2048 ]
 
-(* Everything the dynamics decide, with thresholds rounded to 9
-   significant digits: the fast kernel reassociates prefix sums, so its
-   floats may differ from the reference in the last couple of ulps, but
-   both kernels must agree on every decision at this resolution. *)
-let dynamics_fingerprint (eq : Equilibrium.result) =
-  let th s =
-    Array.to_list
-      (Array.map (Printf.sprintf "%.9g") (Strategy.thresholds s))
-  in
-  ( th eq.Equilibrium.strategy_x,
-    th eq.Equilibrium.strategy_y,
-    eq.Equilibrium.rounds,
-    eq.Equilibrium.converged )
+(* Thresholds rounded to 9 significant digits: the fast kernel
+   reassociates suffix sums, so its floats may differ from the reference
+   in the last couple of ulps, but the two must agree at this
+   resolution. *)
+let thresholds_fingerprint s =
+  Array.to_list (Array.map (Printf.sprintf "%.9g") (Strategy.thresholds s))
 
 let bosco_kernel_bench sizes =
-  section "BOSCO kernel: fast O(W log W) vs reference O(W^2) dynamics";
-  Format.fprintf fmt "%-6s %5s %12s %12s %9s  %s@." "W" "reps" "ref (s)"
-    "fast (s)" "speedup" "equal";
+  section "BOSCO kernel: fast O(W log W) vs reference O(W^2) best response";
+  Format.fprintf fmt "%-6s %6s %13s %13s %9s  %s@." "W" "reps" "ref (us)"
+    "fast (us)" "speedup" "equal";
   let ok = ref true in
   List.iter
     (fun w ->
-      (* Fresh claims per size, same seed: both kernels see the same
-         game.  Repetitions keep small-W timings above clock noise. *)
+      (* Fresh claims per size, same seed.  Both kernels answer the
+         opponent strategies the dynamics start from and end at; each
+         response gets a fresh workspace, so no CDF cache hit flatters
+         the fast kernel.  Repetitions keep small-W timings above clock
+         noise. *)
       let rng = Rng.create 42 in
       let dist = Fig2_pod.u1 in
       let claims_x = Claim.sample rng dist w in
       let claims_y = Claim.sample rng dist w in
       let game = Game.{ dist_x = dist; dist_y = dist; claims_x; claims_y } in
-      let reps = if w <= 32 then 100 else if w <= 128 then 10 else 1 in
-      let run kernel =
-        let eq = ref None in
+      let eq = Equilibrium.best_response_dynamics game in
+      let opponents =
+        [ Strategy.truthful_rounding claims_y; eq.Equilibrium.strategy_y ]
+      in
+      let reps =
+        if w <= 32 then 2000 else if w <= 128 then 200 else if w <= 512 then 20
+        else 2
+      in
+      let run best_response =
+        let out = ref [] in
         let _, t =
           time (fun () ->
               for _ = 1 to reps do
-                eq := Some (Equilibrium.best_response_dynamics ~kernel game)
+                out :=
+                  List.map
+                    (fun opponent ->
+                      best_response ~opponent_dist:dist ~opponent claims_x)
+                    opponents
               done)
         in
-        (Option.get !eq, t)
+        ( List.map thresholds_fingerprint !out,
+          t /. float_of_int (reps * List.length opponents) )
       in
-      let eq_ref, t_ref = run Equilibrium.Reference in
-      let eq_fast, t_fast = run Equilibrium.Fast in
-      let equal = dynamics_fingerprint eq_ref = dynamics_fingerprint eq_fast in
+      let fp_ref, t_ref =
+        run Pan_oracle.Strategy_reference.best_response_reference
+      in
+      let fp_fast, t_fast = run (Strategy.best_response ?workspace:None) in
+      let equal = fp_ref = fp_fast in
       if not equal then ok := false;
-      Format.fprintf fmt "%-6d %5d %12.4f %12.4f %8.2fx  %b@." w reps t_ref
-        t_fast (t_ref /. t_fast) equal)
+      Format.fprintf fmt "%-6d %6d %13.2f %13.2f %8.2fx  %b@." w reps
+        (t_ref *. 1e6) (t_fast *. 1e6) (t_ref /. t_fast) equal)
     sizes;
   !ok
-
-let bosco_jobs_check () =
-  section "BOSCO kernel: Service.trials --jobs 1 vs --jobs 4";
-  let fingerprint pool =
-    let rng = Rng.create 42 in
-    let reports =
-      Service.trials ?pool ~rng ~dist_x:Fig2_pod.u1 ~dist_y:Fig2_pod.u1 ~w:32
-        ~n:24 ()
-    in
-    List.map
-      (fun (r : Service.report) ->
-        ( r.Service.pod,
-          r.Service.rounds,
-          r.Service.converged,
-          r.Service.equilibrium_choices_x,
-          r.Service.equilibrium_choices_y ))
-      reports
-  in
-  let seq, t_seq = time (fun () -> fingerprint None) in
-  let par, t_par =
-    Pan_runner.Pool.with_pool ~domains:4 (fun pool ->
-        time (fun () -> fingerprint (Some pool)))
-  in
-  let ok = seq = par in
-  Format.fprintf fmt
-    "sequential %.3f s, 4 domains %.3f s (%.2fx); identical: %b@." t_seq t_par
-    (t_seq /. t_par) ok;
-  ok
-
-let run_bosco scale =
-  let ok_kernel = bosco_kernel_bench (bosco_sizes scale) in
-  let ok_jobs = bosco_jobs_check () in
-  ok_kernel && ok_jobs
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_<part>.json emission (Pan_obs.Bench_snap)                     *)
@@ -710,12 +704,11 @@ let emit_snapshot snap =
   let path = Pan_obs.Bench_snap.write snap in
   Format.fprintf fmt "bench snapshot: %s@." path
 
-(* Part 7 again, instrumented for a snapshot: the -j1/-j4 trial
-   fingerprints must agree, and the fast/reference speedup at the largest
-   smoke size is recorded. *)
-let run_bosco_snapshot () =
-  let ok_kernel = bosco_kernel_bench (bosco_sizes `Smoke) in
-  section "BOSCO kernel: snapshot (BENCH_bosco.json)";
+(* The kernel table, then Service.trials at -j1 and -j4: the trial
+   fingerprints must agree, and BENCH_bosco.json records them. *)
+let run_bosco scale =
+  let ok_kernel = bosco_kernel_bench (bosco_sizes scale) in
+  section "BOSCO kernel: Service.trials --jobs 1 vs --jobs 4";
   let trials pool =
     let rng = Rng.create 42 in
     Service.trials ?pool ~rng ~dist_x:Fig2_pod.u1 ~dist_y:Fig2_pod.u1 ~w:32
@@ -737,7 +730,10 @@ let run_bosco_snapshot () =
   let fp_seq = Pan_obs.Bench_snap.fingerprint_of_string seq in
   let fp_par = Pan_obs.Bench_snap.fingerprint_of_string par in
   let ok = fp_seq = fp_par in
-  Format.fprintf fmt "fingerprint -j1 %s  -j4 %s  equal %b@." fp_seq fp_par ok;
+  Format.fprintf fmt
+    "sequential %.3f s, 4 domains %.3f s (%.2fx); fingerprint -j1 %s  -j4 \
+     %s  equal %b@."
+    t_seq t_par (t_seq /. t_par) fp_seq fp_par ok;
   emit_snapshot
     (Pan_obs.Bench_snap.make ~part:"bosco" ~wall_s:t_par
        ~throughput:(24.0 /. t_par) ~speedup:(t_seq /. t_par)
@@ -757,62 +753,64 @@ let methods_fingerprint (r : Methods_exp.report) =
        r.Methods_exp.mean_flow_volume_joint)
 
 let run_econ ~scenarios () =
-  section "Econ kernel: flat Model_fast vs map-based reference (E8 sweep)";
-  (* Single-scenario microbench: the Nelder-Mead inner loop dominated by
-     utility evaluation. *)
-  let _, scenario = Pan_econ.Scenario_gen.fig1_scenario () in
-  let reps = 20 in
-  let run kernel =
-    let r = ref None in
+  let open Pan_econ in
+  section "Econ kernel: flat Model_fast vs map-based Traffic_model (E8 sweep)";
+  (* Evaluator microbench: the fig1 scenario's utilities at 64 decision
+     vectors inside the forecast box, the flat evaluator (compiled once)
+     vs the map-based one — the evaluation the Nelder-Mead loop of the
+     flow-volume optimizer repeats. *)
+  let _, scenario = Scenario_gen.fig1_scenario () in
+  let model = Model_fast.compile scenario in
+  let workspace = Econ_workspace.create () in
+  let rng = Rng.create 5 in
+  let choices =
+    List.init 64 (fun _ ->
+        List.map
+          (fun (c : Traffic_model.choice) ->
+            {
+              Traffic_model.reroute = c.Traffic_model.reroute *. Rng.float rng;
+              attracted = c.Traffic_model.attracted *. Rng.float rng;
+            })
+          (Traffic_model.full_choice scenario))
+  in
+  let reps = 200 in
+  let evaluate utilities =
+    let r = ref [] in
     let _, t =
       time (fun () ->
           for _ = 1 to reps do
-            r :=
-              Some
-                (Pan_econ.Flow_volume_opt.optimize ~kernel ~starts_per_dim:2
-                   scenario)
+            r := List.map utilities choices
           done)
     in
-    (Option.get !r, t)
+    (!r, t)
   in
-  let r_ref, t_ref1 = run Pan_econ.Model_fast.Reference in
-  let r_fast, t_fast1 = run Pan_econ.Model_fast.Fast in
-  let single_equal =
-    r_ref.Pan_econ.Flow_volume_opt.u_x = r_fast.Pan_econ.Flow_volume_opt.u_x
-    && r_ref.Pan_econ.Flow_volume_opt.u_y = r_fast.Pan_econ.Flow_volume_opt.u_y
-    && r_ref.Pan_econ.Flow_volume_opt.nash
-       = r_fast.Pan_econ.Flow_volume_opt.nash
-  in
+  let u_map, t_map = evaluate (Traffic_model.utilities scenario) in
+  let u_flat, t_flat = evaluate (Model_fast.utilities ~workspace model) in
+  let evaluators_equal = u_map = u_flat in
   Format.fprintf fmt
-    "fig1 flow-volume opt (%d reps): ref %.3f s, fast %.3f s (%.2fx); \
+    "fig1 utilities (%d evaluations): map %.3f s, flat %.3f s (%.2fx); \
      bit-identical: %b@."
-    reps t_ref1 t_fast1 (t_ref1 /. t_fast1) single_equal;
-  (* The full E8 sweep, both kernels, then -j1 vs -j4 on the fast one. *)
-  let run_methods ?pool kernel =
-    time (fun () -> Methods_exp.run ?pool ~scenarios ~seed:3 ~kernel ())
+    (reps * List.length choices)
+    t_map t_flat (t_map /. t_flat) evaluators_equal;
+  (* The full E8 sweep at -j1 and -j4. *)
+  let run_methods ?pool () =
+    time (fun () -> Methods_exp.run ?pool ~scenarios ~seed:3 ())
   in
-  let rep_ref, t_ref = run_methods Pan_econ.Model_fast.Reference in
-  let rep_fast, t_fast = run_methods Pan_econ.Model_fast.Fast in
-  let kernels_equal = rep_ref = rep_fast in
-  Format.fprintf fmt
-    "E8 sweep (%d scenarios): ref %.3f s, fast %.3f s (%.2fx); reports \
-     identical: %b@."
-    scenarios t_ref t_fast (t_ref /. t_fast) kernels_equal;
+  let rep_seq, t_seq = run_methods () in
   let rep_par, t_par =
-    Pan_runner.Pool.with_pool ~domains:4 (fun pool ->
-        run_methods ~pool Pan_econ.Model_fast.Fast)
+    Pan_runner.Pool.with_pool ~domains:4 (fun pool -> run_methods ~pool ())
   in
-  let fp_j1 = methods_fingerprint rep_fast in
+  let fp_j1 = methods_fingerprint rep_seq in
   let fp_j4 = methods_fingerprint rep_par in
   let jobs_equal = fp_j1 = fp_j4 in
   Format.fprintf fmt
-    "fast -j1 %.3f s, -j4 %.3f s (%.2fx); fingerprint -j1 %s -j4 %s equal \
-     %b@."
-    t_fast t_par (t_fast /. t_par) fp_j1 fp_j4 jobs_equal;
+    "E8 sweep (%d scenarios): -j1 %.3f s, -j4 %.3f s (%.2fx); fingerprint \
+     -j1 %s -j4 %s equal %b@."
+    scenarios t_seq t_par (t_seq /. t_par) fp_j1 fp_j4 jobs_equal;
   emit_snapshot
-    (Pan_obs.Bench_snap.make ~part:"econ" ~wall_s:t_fast
-       ~throughput:(float_of_int scenarios /. t_fast)
-       ~speedup:(t_ref /. t_fast) ~fingerprint:fp_j1 ~jobs:4
+    (Pan_obs.Bench_snap.make ~part:"econ" ~wall_s:t_seq
+       ~throughput:(float_of_int scenarios /. t_seq)
+       ~speedup:(t_map /. t_flat) ~fingerprint:fp_j1 ~jobs:4
        ~meta:
          [
            ("fingerprint_j1", fp_j1);
@@ -820,7 +818,7 @@ let run_econ ~scenarios () =
            ("scenarios", string_of_int scenarios);
          ]
        ());
-  single_equal && kernels_equal && jobs_equal
+  evaluators_equal && jobs_equal
 
 (* ------------------------------------------------------------------ *)
 (* Part 10: versioned topology snapshots (lib/topology Snapshot)       *)
@@ -895,22 +893,6 @@ let run_topo_snapshot scale =
        ~meta:[ ("ases", string_of_int !last_ases) ]
        ());
   !ok
-
-let validate_bench files =
-  let ok =
-    List.fold_left
-      (fun ok file ->
-        match Pan_obs.Bench_snap.read file with
-        | Ok snap ->
-            Format.fprintf fmt "%s: ok (part %s, fingerprint %s)@." file
-              snap.Pan_obs.Bench_snap.part snap.Pan_obs.Bench_snap.fingerprint;
-            ok
-        | Error e ->
-            Format.eprintf "%s: INVALID: %s@." file e;
-            false)
-      true files
-  in
-  if not ok then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Part 8: supervised runner (lib/runner Supervise/Fault)              *)
@@ -1218,27 +1200,37 @@ let market_params = function
   | `Smoke -> (24, 170, 2, 384, 24)
   | `Full -> (48, 440, 3, 768, 32)
 
-let run_market scale =
+(* Parts 13 and 14: the epoch loop at -j1/-j2/-j4 (every fingerprint
+   must match -j1), a -j1 rerun and the re-freeze oracle.  Part 14 runs
+   the [Both] mechanism, which negotiates the full candidate stream and
+   scores the Nash-Peering arm counterfactually on the same outcomes, so
+   the comparison rides the epoch loop at the Bosco arm's cost; its
+   fingerprint covers the per-epoch comparison records, which must all
+   be present. *)
+let run_market ~mechanism scale =
   let module M = Pan_market.Market in
-  section "MA marketplace: concurrent negotiations over the frozen core";
+  let both = mechanism = M.Both in
+  section
+    (if both then
+       "Mechanism comparison: Bosco vs Nash-Peering on shared candidate \
+        streams"
+     else "MA marketplace: concurrent negotiations over the frozen core");
   let n_transit, n_stub, epochs, max_candidates, w = market_params scale in
   let params = { Gen.default_params with Gen.n_transit; Gen.n_stub } in
   let g = Gen.graph (Gen.generate ~params ~seed:42 ()) in
   Format.fprintf fmt "topology: %a@." Graph.pp_stats g;
   let config = { M.default with M.epochs; w; max_candidates; chunk = 8 } in
   let ok = ref true in
-  (* Scaling sweep: the whole epoch loop (enumerate, negotiate, splice)
-     at increasing pool sizes; every fingerprint must match -j1. *)
   let results = ref [] in
   Format.fprintf fmt "%4s %10s %15s  %s@." "j" "wall (s)" "negotiations/s"
     "fingerprint";
   List.iter
     (fun j ->
       let r, t =
-        if j = 1 then time (fun () -> M.run config g)
+        if j = 1 then time (fun () -> M.run ~mechanism config g)
         else
           Pan_runner.Pool.with_pool ~domains:j (fun pool ->
-              time (fun () -> M.run ~pool config g))
+              time (fun () -> M.run ~pool ~mechanism config g))
       in
       let rate = float_of_int r.M.negotiations /. t in
       results := (j, r, t, rate) :: !results;
@@ -1253,144 +1245,70 @@ let run_market scale =
   in
   if not jobs_equal then ok := false;
   (* Double run at -j1: the transcript is a pure function of the seed. *)
-  let r1', _ = time (fun () -> M.run config g) in
+  let r1', _ = time (fun () -> M.run ~mechanism config g) in
   let rerun_equal = String.equal r1.M.fingerprint r1'.M.fingerprint in
   if not rerun_equal then ok := false;
   (* Delta oracle: each epoch's incrementally-spliced core must equal a
      from-scratch freeze of the equivalently-mutated graph. *)
-  let oracle = M.run ~oracle:true config g in
+  let oracle = M.run ~oracle:true ~mechanism config g in
   let oracle_ok = oracle.M.oracle_ok = Some true in
   if not oracle_ok then ok := false;
-  List.iter
-    (fun (e : M.epoch_report) ->
-      Format.fprintf fmt
-        "epoch %d: %d candidates, %d viable, %d signed, %d invalidated@."
-        e.M.epoch e.M.candidates e.M.viable e.M.signed e.M.invalidated)
-    r1.M.reports;
-  Format.fprintf fmt
-    "agreements: %d, welfare %.3f; -j equal %b, rerun equal %b, oracle %b@."
-    (List.length r1.M.agreements)
-    r1.M.welfare jobs_equal rerun_equal oracle_ok;
-  let _, r4, _, rate4 =
-    List.find (fun (j, _, _, _) -> j = 4) results
+  let epoch_meta =
+    List.concat_map
+      (fun (e : M.epoch_report) ->
+        let p = Printf.sprintf "epoch%d_" e.M.epoch in
+        match e.M.mech with
+        | Some c when both ->
+            Format.fprintf fmt
+              "epoch %d: bosco %d signed welfare %.3f pod %.3f | \
+               nash-peering %d/%d qualified %d signed welfare %.3f pod \
+               %.3f@."
+              e.M.epoch c.M.bosco_signed c.M.bosco_welfare c.M.bosco_pod
+              c.M.cmp_qualified e.M.candidates c.M.nash_signed
+              c.M.nash_welfare c.M.nash_pod;
+            [
+              (p ^ "qualified", string_of_int c.M.cmp_qualified);
+              (p ^ "bosco_signed", string_of_int c.M.bosco_signed);
+              (p ^ "bosco_welfare", Printf.sprintf "%.3f" c.M.bosco_welfare);
+              (p ^ "bosco_pod", Printf.sprintf "%.3f" c.M.bosco_pod);
+              (p ^ "nash_signed", string_of_int c.M.nash_signed);
+              (p ^ "nash_welfare", Printf.sprintf "%.3f" c.M.nash_welfare);
+              (p ^ "nash_pod", Printf.sprintf "%.3f" c.M.nash_pod);
+            ]
+        | None when both ->
+            ok := false;
+            []
+        | _ ->
+            Format.fprintf fmt
+              "epoch %d: %d candidates, %d viable, %d signed, %d \
+               invalidated@."
+              e.M.epoch e.M.candidates e.M.viable e.M.signed e.M.invalidated;
+            [ (p ^ "candidates", string_of_int e.M.candidates) ])
+      r1.M.reports
   in
-  emit_snapshot
-    (Pan_obs.Bench_snap.make ~part:"market" ~wall_s:t1 ~throughput:rate1
-       ~speedup:(rate4 /. rate1) ~fingerprint:r1.M.fingerprint ~jobs:4
-       ~meta:
-         ([
-            ("epochs", string_of_int epochs);
-            ("pairs", string_of_int r1.M.pairs);
-            ("negotiations", string_of_int r1.M.negotiations);
-            ("agreements", string_of_int (List.length r1.M.agreements));
-            ("welfare", Printf.sprintf "%.3f" r1.M.welfare);
-            ("fingerprint_j1", r1.M.fingerprint);
-            ("fingerprint_j4", r4.M.fingerprint);
-            ("oracle", string_of_bool oracle_ok);
-          ]
-         @ List.map
-             (fun (e : M.epoch_report) ->
-               ( Printf.sprintf "epoch%d_candidates" e.M.epoch,
-                 string_of_int e.M.candidates ))
-             r1.M.reports)
-       ());
-  !ok
-
-(* ------------------------------------------------------------------ *)
-(* Part 14: mechanism comparison (Bosco vs Nash-Peering, Both mode)    *)
-
-let run_market_mech scale =
-  let module M = Pan_market.Market in
-  section
-    "Mechanism comparison: Bosco vs Nash-Peering on shared candidate streams";
-  let n_transit, n_stub, epochs, max_candidates, w = market_params scale in
-  let params = { Gen.default_params with Gen.n_transit; Gen.n_stub } in
-  let g = Gen.graph (Gen.generate ~params ~seed:42 ()) in
-  Format.fprintf fmt "topology: %a@." Graph.pp_stats g;
-  let config = { M.default with M.epochs; w; max_candidates; chunk = 8 } in
-  let ok = ref true in
-  (* Both mode negotiates the full candidate stream and scores the
-     Nash-Peering arm counterfactually on the same outcomes, so the
-     comparison rides the epoch loop at the Bosco arm's cost; the
-     fingerprint covers the comparison records too and must match -j1 at
-     every pool size. *)
-  let results = ref [] in
-  Format.fprintf fmt "%4s %10s %15s  %s@." "j" "wall (s)" "negotiations/s"
-    "fingerprint";
-  List.iter
-    (fun j ->
-      let r, t =
-        if j = 1 then time (fun () -> M.run ~mechanism:M.Both config g)
-        else
-          Pan_runner.Pool.with_pool ~domains:j (fun pool ->
-              time (fun () -> M.run ~pool ~mechanism:M.Both config g))
-      in
-      let rate = float_of_int r.M.negotiations /. t in
-      results := (j, r, t, rate) :: !results;
-      Format.fprintf fmt "%4d %10.3f %15.0f  %s@." j t rate r.M.fingerprint)
-    [ 1; 2; 4 ];
-  let results = List.rev !results in
-  let _, r1, t1, rate1 = List.hd results in
-  let jobs_equal =
-    List.for_all
-      (fun (_, r, _, _) -> String.equal r.M.fingerprint r1.M.fingerprint)
-      results
-  in
-  if not jobs_equal then ok := false;
-  let r1', _ = time (fun () -> M.run ~mechanism:M.Both config g) in
-  let rerun_equal = String.equal r1.M.fingerprint r1'.M.fingerprint in
-  if not rerun_equal then ok := false;
-  (* Re-freeze oracle, as in part 13: the Both-mode splice chain (the
-     Bosco arm's signings) must equal a from-scratch freeze per epoch. *)
-  let oracle = M.run ~oracle:true ~mechanism:M.Both config g in
-  let oracle_ok = oracle.M.oracle_ok = Some true in
-  if not oracle_ok then ok := false;
-  let mech_meta = ref [] in
-  List.iter
-    (fun (e : M.epoch_report) ->
-      match e.M.mech with
-      | None -> ok := false
-      | Some c ->
-          Format.fprintf fmt
-            "epoch %d: bosco %d signed welfare %.3f pod %.3f | nash-peering \
-             %d/%d qualified %d signed welfare %.3f pod %.3f@."
-            e.M.epoch c.M.bosco_signed c.M.bosco_welfare c.M.bosco_pod
-            c.M.cmp_qualified e.M.candidates c.M.nash_signed c.M.nash_welfare
-            c.M.nash_pod;
-          let p = Printf.sprintf "epoch%d_" e.M.epoch in
-          mech_meta :=
-            !mech_meta
-            @ [
-                (p ^ "qualified", string_of_int c.M.cmp_qualified);
-                (p ^ "bosco_signed", string_of_int c.M.bosco_signed);
-                (p ^ "bosco_welfare", Printf.sprintf "%.3f" c.M.bosco_welfare);
-                (p ^ "bosco_pod", Printf.sprintf "%.3f" c.M.bosco_pod);
-                (p ^ "nash_signed", string_of_int c.M.nash_signed);
-                (p ^ "nash_welfare", Printf.sprintf "%.3f" c.M.nash_welfare);
-                (p ^ "nash_pod", Printf.sprintf "%.3f" c.M.nash_pod);
-              ])
-    r1.M.reports;
   Format.fprintf fmt
     "agreements: %d, welfare %.3f; -j equal %b, rerun equal %b, oracle %b@."
     (List.length r1.M.agreements)
     r1.M.welfare jobs_equal rerun_equal oracle_ok;
   let _, r4, _, rate4 = List.find (fun (j, _, _, _) -> j = 4) results in
   emit_snapshot
-    (Pan_obs.Bench_snap.make ~part:"market_mech" ~wall_s:t1 ~throughput:rate1
-       ~speedup:(rate4 /. rate1) ~fingerprint:r1.M.fingerprint ~jobs:4
+    (Pan_obs.Bench_snap.make
+       ~part:(if both then "market_mech" else "market")
+       ~wall_s:t1 ~throughput:rate1 ~speedup:(rate4 /. rate1)
+       ~fingerprint:r1.M.fingerprint ~jobs:4
        ~meta:
-         ([
-            ("mechanism", "both");
-            ("epochs", string_of_int epochs);
-            ("pairs", string_of_int r1.M.pairs);
-            ("negotiations", string_of_int r1.M.negotiations);
-            ("agreements", string_of_int (List.length r1.M.agreements));
-            ("welfare", Printf.sprintf "%.3f" r1.M.welfare);
-            ("fingerprint_j1", r1.M.fingerprint);
-            ("fingerprint_j4", r4.M.fingerprint);
-            ("oracle", string_of_bool oracle_ok);
-          ]
-         @ !mech_meta)
+         ((if both then [ ("mechanism", "both") ] else [])
+         @ [
+             ("epochs", string_of_int epochs);
+             ("pairs", string_of_int r1.M.pairs);
+             ("negotiations", string_of_int r1.M.negotiations);
+             ("agreements", string_of_int (List.length r1.M.agreements));
+             ("welfare", Printf.sprintf "%.3f" r1.M.welfare);
+             ("fingerprint_j1", r1.M.fingerprint);
+             ("fingerprint_j4", r4.M.fingerprint);
+             ("oracle", string_of_bool oracle_ok);
+           ]
+         @ epoch_meta)
        ());
   !ok
 
@@ -1418,8 +1336,8 @@ let full_run () =
   ignore (run_supervised () : bool);
   ignore (run_serve `Smoke : bool);
   ignore (run_intent `Smoke : bool);
-  ignore (run_market `Smoke : bool);
-  ignore (run_market_mech `Smoke : bool);
+  ignore (run_market ~mechanism:Pan_market.Market.Bosco `Smoke : bool);
+  ignore (run_market ~mechanism:Pan_market.Market.Both `Smoke : bool);
   run_benchmarks ();
   run_runner_pair ();
   obs_profile ()
@@ -1432,7 +1350,7 @@ let () =
   | "topo-snapshot" -> if not (run_topo_snapshot `Full) then exit 1
   | "topo-snapshot-smoke" -> if not (run_topo_snapshot `Smoke) then exit 1
   | "bosco" -> if not (run_bosco `Full) then exit 1
-  | "bosco-smoke" -> if not (run_bosco_snapshot ()) then exit 1
+  | "bosco-smoke" -> if not (run_bosco `Smoke) then exit 1
   | "econ" -> if not (run_econ ~scenarios:60 ()) then exit 1
   | "econ-smoke" -> if not (run_econ ~scenarios:24 ()) then exit 1
   | "faults" -> if not (run_supervised ()) then exit 1
@@ -1440,20 +1358,17 @@ let () =
   | "serve-smoke" -> if not (run_serve `Smoke) then exit 1
   | "intent" -> if not (run_intent `Full) then exit 1
   | "intent-smoke" -> if not (run_intent `Smoke) then exit 1
-  | "market" -> if not (run_market `Full) then exit 1
-  | "market-smoke" -> if not (run_market `Smoke) then exit 1
-  | "market-mech" -> if not (run_market_mech `Full) then exit 1
-  | "market-mech-smoke" -> if not (run_market_mech `Smoke) then exit 1
-  | "validate-bench" ->
-      validate_bench
-        (Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)))
+  | "market" -> if not (run_market ~mechanism:Bosco `Full) then exit 1
+  | "market-smoke" -> if not (run_market ~mechanism:Bosco `Smoke) then exit 1
+  | "market-mech" -> if not (run_market ~mechanism:Both `Full) then exit 1
+  | "market-mech-smoke" ->
+      if not (run_market ~mechanism:Both `Smoke) then exit 1
   | other ->
       Format.eprintf
         "usage: %s \
          [topo|topo-full|topo-snapshot|topo-snapshot-smoke|bosco|bosco-smoke|\
          econ|econ-smoke|faults|serve|serve-smoke|intent|intent-smoke|\
-         market|market-smoke|market-mech|market-mech-smoke|\
-         validate-bench FILE...]  \
+         market|market-smoke|market-mech|market-mech-smoke]  \
          (unknown part %S)@."
         Sys.argv.(0) other;
       exit 2);

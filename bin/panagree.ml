@@ -18,33 +18,31 @@ let seed_arg =
    values are rejected at parse time with one uniform wording (the
    messages are cram-pinned).  Rejecting 0 here matters: several knobs
    (--epochs, --max-candidates) would otherwise be accepted and silently
-   produce an empty run. *)
-let int_at_least lo =
+   produce an empty run, others (--sample-size, --trials) crash it. *)
+let bounded conv ~ok ~expected =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n >= lo -> Ok n
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
     | Ok _ ->
         Error
-          (`Msg
-             (Printf.sprintf "invalid value '%s' (expected an integer >= %d)"
-                s lo))
+          (`Msg (Printf.sprintf "invalid value '%s' (expected %s)" s expected))
     | Error _ as e -> e
   in
-  Arg.conv (parse, Arg.conv_printer Arg.int)
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let int_at_least lo =
+  bounded Arg.int ~ok:(fun n -> n >= lo)
+    ~expected:(Printf.sprintf "an integer >= %d" lo)
 
 let positive_int = int_at_least 1
 let nonneg_int = int_at_least 0
-
 let pos_float =
-  let parse s =
-    match Arg.conv_parser Arg.float s with
-    | Ok d when d > 0.0 -> Ok d
-    | Ok _ ->
-        Error
-          (`Msg (Printf.sprintf "invalid value '%s' (expected a number > 0)" s))
-    | Error _ as e -> e
-  in
-  Arg.conv (parse, Arg.conv_printer Arg.float)
+  bounded Arg.float ~ok:(fun d -> d > 0.0) ~expected:"a number > 0"
+
+let probability =
+  bounded Arg.float
+    ~ok:(fun p -> p >= 0.0 && p <= 1.0)
+    ~expected:"a number in [0,1]"
 
 let jobs_arg =
   let doc =
@@ -53,14 +51,6 @@ let jobs_arg =
      (including 1, the sequential path)."
   in
   Arg.(value & opt positive_int 1 & info [ "j"; "jobs" ] ~doc)
-
-let with_jobs jobs f = Pan_runner.Pool.with_pool ~domains:jobs f
-
-(* Supervision options, shared by every --jobs subcommand.  --faults is
-   applied as a side effect of term evaluation (equivalent to setting
-   PANAGREE_FAULTS), so the experiment code only sees retries/deadline. *)
-
-type supervision = { retries : int; deadline : float option }
 
 let retries_arg =
   let doc =
@@ -94,13 +84,6 @@ let faults_arg =
       )
   in
   Arg.(value & opt (some fault_conv) None & info [ "faults" ] ~doc ~docv:"SPEC")
-
-let sup_term =
-  let make retries deadline faults =
-    Option.iter (fun spec -> Pan_runner.Fault.set (Some spec)) faults;
-    { retries; deadline }
-  in
-  Term.(const make $ retries_arg $ deadline_arg $ faults_arg)
 
 let metrics_arg =
   let doc =
@@ -156,9 +139,47 @@ let with_obs ~metrics ~trace f =
             trace)
         f
 
+(* The run context shared by every --jobs subcommand: pool size,
+   supervision and observability.  --faults is applied as a side effect
+   of term evaluation (equivalent to setting PANAGREE_FAULTS), so the
+   experiment code only sees retries/deadline. *)
+type run = {
+  jobs : int;
+  retries : int;
+  deadline : float option;
+  metrics : string option;
+  trace : string option;
+}
+
+let set_faults = Option.iter (fun spec -> Pan_runner.Fault.set (Some spec))
+
+let run_term =
+  let make jobs retries deadline faults metrics trace =
+    set_faults faults;
+    { jobs; retries; deadline; metrics; trace }
+  in
+  Term.(
+    const make $ jobs_arg $ retries_arg $ deadline_arg $ faults_arg
+    $ metrics_arg $ trace_arg)
+
+(* [f] runs under the requested observability, on a pool of [jobs]
+   domains, with the supervision labels every experiment takes. *)
+let with_run r f =
+  with_obs ~metrics:r.metrics ~trace:r.trace @@ fun () ->
+  Pan_runner.Pool.with_pool ~domains:r.jobs (fun pool ->
+      f ~pool ~retries:r.retries ~deadline:r.deadline)
+
+(* Library validation errors (a corrupt snapshot, an unknown AS, a bad
+   stream line) end the run with a one-line diagnostic and exit 1. *)
+let or_exit f =
+  try f ()
+  with Invalid_argument msg ->
+    Format.eprintf "panagree: %s@." msg;
+    exit 1
+
 let sample_arg =
   let doc = "Number of sampled source ASes (the paper uses 500)." in
-  Arg.(value & opt int 500 & info [ "sample-size" ] ~doc)
+  Arg.(value & opt positive_int 500 & info [ "sample-size" ] ~doc)
 
 let caida_arg =
   let doc =
@@ -169,12 +190,13 @@ let caida_arg =
 
 let transit_arg =
   let doc = "Number of transit ASes in the synthetic topology." in
-  Arg.(value & opt int Gen.default_params.Gen.n_transit
+  Arg.(value & opt nonneg_int Gen.default_params.Gen.n_transit
        & info [ "transit" ] ~doc)
 
 let stub_arg =
   let doc = "Number of stub ASes in the synthetic topology." in
-  Arg.(value & opt int Gen.default_params.Gen.n_stub & info [ "stubs" ] ~doc)
+  Arg.(value & opt nonneg_int Gen.default_params.Gen.n_stub
+       & info [ "stubs" ] ~doc)
 
 let topology ~caida ~transit ~stubs ~seed =
   match caida with
@@ -191,46 +213,60 @@ let topology ~caida ~transit ~stubs ~seed =
         Graph.pp_stats g;
       g
 
+let snapshot_arg =
+  let doc =
+    "Load the frozen topology (and any geo/bandwidth sections) from a \
+     versioned binary snapshot written by $(b,topology snapshot), \
+     instead of generating or parsing one.  Stale or corrupt snapshots \
+     are rejected with a diagnostic."
+  in
+  Arg.(value & opt (some file) None & info [ "snapshot" ] ~doc ~docv:"FILE")
+
+(* The frozen core of --snapshot when given, else of {!topology}. *)
+let frozen_topology ~snapshot ~caida ~transit ~stubs ~seed =
+  match snapshot with
+  | Some path ->
+      let b = Snapshot.load path in
+      Format.fprintf fmt "# loaded snapshot %s: %a@." path Compact.pp_stats
+        b.Snapshot.topo;
+      b.Snapshot.topo
+  | None -> Compact.freeze (topology ~caida ~transit ~stubs ~seed)
+
 (* ------------------------------------------------------------------ *)
 (* fig2                                                                *)
 
 let fig2_cmd =
   let trials =
-    Arg.(value & opt int 200
+    Arg.(value & opt positive_int 200
          & info [ "trials" ] ~doc:"Choice-set combinations per cardinality.")
   in
   let ws =
-    Arg.(value & opt (list int) [ 2; 5; 10; 20; 35; 50; 75; 100 ]
+    Arg.(value & opt (list positive_int) [ 2; 5; 10; 20; 35; 50; 75; 100 ]
          & info [ "ws" ] ~doc:"Choice-set cardinalities to sweep.")
   in
-  let run seed jobs sup metrics trace trials ws =
-    with_obs ~metrics ~trace @@ fun () ->
-    with_jobs jobs (fun pool ->
-        List.iter
-          (fun s -> Fig2_pod.pp_series fmt s)
-          (Fig2_pod.run_both ~pool ~retries:sup.retries ?deadline:sup.deadline
-             ~ws ~trials ~seed ()))
+  let run seed ctx trials ws =
+    with_run ctx @@ fun ~pool ~retries ~deadline ->
+    List.iter
+      (fun s -> Fig2_pod.pp_series fmt s)
+      (Fig2_pod.run_both ~pool ~retries ?deadline ~ws ~trials ~seed ())
   in
   Cmd.v
     (Cmd.info "fig2" ~doc:"Fig. 2: Price of Dishonesty vs. choice-set size.")
-    Term.(
-      const run $ seed_arg $ jobs_arg $ sup_term $ metrics_arg $ trace_arg
-      $ trials $ ws)
+    Term.(const run $ seed_arg $ run_term $ trials $ ws)
 
 (* ------------------------------------------------------------------ *)
 (* fig3 / fig4 / summary (one diversity run feeds all three)           *)
 
-let diversity_run ~pool ~sup caida transit stubs seed sample =
+let diversity_run ~pool ~retries ~deadline caida transit stubs seed sample =
   let g = topology ~caida ~transit ~stubs ~seed in
-  Diversity.analyze ~pool ~retries:sup.retries ?deadline:sup.deadline
-    ~sample_size:sample ~seed:(seed + 1) g
+  Diversity.analyze ~pool ~retries ?deadline ~sample_size:sample
+    ~seed:(seed + 1) g
 
 let fig34_cmd =
-  let run caida transit stubs seed jobs sup metrics trace sample =
-    with_obs ~metrics ~trace @@ fun () ->
-    with_jobs jobs (fun pool ->
-        Diversity.pp_result fmt
-          (diversity_run ~pool ~sup caida transit stubs seed sample))
+  let run caida transit stubs seed ctx sample =
+    with_run ctx @@ fun ~pool ~retries ~deadline ->
+    Diversity.pp_result fmt
+      (diversity_run ~pool ~retries ~deadline caida transit stubs seed sample)
   in
   Cmd.v
     (Cmd.info "fig3"
@@ -238,17 +274,17 @@ let fig34_cmd =
          "Figs. 3 & 4 and the §VI-A aggregates: length-3 paths and nearby \
           destinations per MA-conclusion scenario.")
     Term.(
-      const run $ caida_arg $ transit_arg $ stub_arg $ seed_arg $ jobs_arg
-      $ sup_term $ metrics_arg $ trace_arg $ sample_arg)
+      const run $ caida_arg $ transit_arg $ stub_arg $ seed_arg $ run_term
+      $ sample_arg)
 
 let summary_cmd =
-  let run caida transit stubs seed jobs sup metrics trace sample =
-    with_obs ~metrics ~trace @@ fun () ->
-    let result =
-      with_jobs jobs (fun pool ->
-          diversity_run ~pool ~sup caida transit stubs seed sample)
+  let run caida transit stubs seed ctx sample =
+    with_run ctx @@ fun ~pool ~retries ~deadline ->
+    let agg =
+      Diversity.aggregate_stats
+        (diversity_run ~pool ~retries ~deadline caida transit stubs seed
+           sample)
     in
-    let agg = Diversity.aggregate_stats result in
     Format.fprintf fmt
       "additional length-3 paths per AS:      avg %.0f  max %d@.\
        additional nearby destinations per AS: avg %.0f  max %d@."
@@ -259,42 +295,40 @@ let summary_cmd =
   Cmd.v
     (Cmd.info "summary" ~doc:"§VI-A aggregate path-diversity statistics.")
     Term.(
-      const run $ caida_arg $ transit_arg $ stub_arg $ seed_arg $ jobs_arg
-      $ sup_term $ metrics_arg $ trace_arg $ sample_arg)
+      const run $ caida_arg $ transit_arg $ stub_arg $ seed_arg $ run_term
+      $ sample_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fig5 / fig6                                                         *)
 
 let fig5_cmd =
-  let run caida transit stubs seed jobs sup metrics trace sample =
-    with_obs ~metrics ~trace @@ fun () ->
-    with_jobs jobs (fun pool ->
-        let g = topology ~caida ~transit ~stubs ~seed in
-        Geodistance.pp fmt
-          (Geodistance.run ~pool ~retries:sup.retries ?deadline:sup.deadline
-             ~sample_size:sample ~seed:(seed + 1) g))
+  let run caida transit stubs seed ctx sample =
+    with_run ctx @@ fun ~pool ~retries ~deadline ->
+    let g = topology ~caida ~transit ~stubs ~seed in
+    Geodistance.pp fmt
+      (Geodistance.run ~pool ~retries ?deadline ~sample_size:sample
+         ~seed:(seed + 1) g)
   in
   Cmd.v
     (Cmd.info "fig5" ~doc:"Fig. 5: geodistance of MA-added paths.")
     Term.(
-      const run $ caida_arg $ transit_arg $ stub_arg $ seed_arg $ jobs_arg
-      $ sup_term $ metrics_arg $ trace_arg $ sample_arg)
+      const run $ caida_arg $ transit_arg $ stub_arg $ seed_arg $ run_term
+      $ sample_arg)
 
 let fig6_cmd =
-  let run caida transit stubs seed jobs sup metrics trace sample =
-    with_obs ~metrics ~trace @@ fun () ->
-    with_jobs jobs (fun pool ->
-        let g = topology ~caida ~transit ~stubs ~seed in
-        Bandwidth_exp.pp fmt
-          (Bandwidth_exp.run ~pool ~retries:sup.retries ?deadline:sup.deadline
-             ~sample_size:sample ~seed:(seed + 1) g))
+  let run caida transit stubs seed ctx sample =
+    with_run ctx @@ fun ~pool ~retries ~deadline ->
+    let g = topology ~caida ~transit ~stubs ~seed in
+    Bandwidth_exp.pp fmt
+      (Bandwidth_exp.run ~pool ~retries ?deadline ~sample_size:sample
+         ~seed:(seed + 1) g)
   in
   Cmd.v
     (Cmd.info "fig6"
        ~doc:"Fig. 6: bandwidth of MA-added paths (degree-gravity model).")
     Term.(
-      const run $ caida_arg $ transit_arg $ stub_arg $ seed_arg $ jobs_arg
-      $ sup_term $ metrics_arg $ trace_arg $ sample_arg)
+      const run $ caida_arg $ transit_arg $ stub_arg $ seed_arg $ run_term
+      $ sample_arg)
 
 (* ------------------------------------------------------------------ *)
 (* gadgets / methods                                                   *)
@@ -311,18 +345,15 @@ let methods_cmd =
     Arg.(value & opt int 100
          & info [ "scenarios" ] ~doc:"Number of random scenarios.")
   in
-  let run seed jobs sup metrics trace n =
-    with_obs ~metrics ~trace @@ fun () ->
-    with_jobs jobs (fun pool ->
-        Methods_exp.pp fmt
-          (Methods_exp.run ~pool ~retries:sup.retries ?deadline:sup.deadline
-             ~scenarios:n ~seed ()))
+  let run seed ctx n =
+    with_run ctx @@ fun ~pool ~retries ~deadline ->
+    Methods_exp.pp fmt
+      (Methods_exp.run ~pool ~retries ?deadline ~scenarios:n ~seed ())
   in
   Cmd.v
     (Cmd.info "methods"
        ~doc:"§IV-C: cash compensation vs. flow-volume targets.")
-    Term.(
-      const run $ seed_arg $ jobs_arg $ sup_term $ metrics_arg $ trace_arg $ n)
+    Term.(const run $ seed_arg $ run_term $ n)
 
 (* ------------------------------------------------------------------ *)
 (* extensions: resilience / chained / export                           *)
@@ -387,15 +418,6 @@ let fragility_cmd =
 let intent_conv =
   Arg.conv ~docv:"SPEC" (Pan_intent.Intent.parse, Pan_intent.Intent.pp)
 
-let snapshot_arg =
-  let doc =
-    "Load the frozen topology (and any geo/bandwidth sections) from a \
-     versioned binary snapshot written by $(b,topology snapshot), \
-     instead of generating or parsing one.  Stale or corrupt snapshots \
-     are rejected with a diagnostic."
-  in
-  Arg.(value & opt (some file) None & info [ "snapshot" ] ~doc ~docv:"FILE")
-
 let pp_bundle path (b : Snapshot.bundle) =
   Format.fprintf fmt "# loaded snapshot %s: %a@." path Compact.pp_stats
     b.Snapshot.topo;
@@ -415,12 +437,7 @@ let topology_cmd =
   let show_run caida transit stubs seed metrics trace snapshot =
     with_obs ~metrics ~trace @@ fun () ->
     match snapshot with
-    | Some path -> (
-        match Snapshot.load path with
-        | b -> pp_bundle path b
-        | exception Invalid_argument msg ->
-            Format.eprintf "panagree: %s@." msg;
-            exit 1)
+    | Some path -> pp_bundle path (or_exit (fun () -> Snapshot.load path))
     | None ->
         let g = topology ~caida ~transit ~stubs ~seed in
         Format.fprintf fmt "%a@." Metrics.pp_summary (Metrics.summary g);
@@ -480,11 +497,12 @@ let topology_cmd =
 
 let te_cmd =
   let n =
-    Arg.(value & opt int 300
+    Arg.(value & opt positive_int 300
          & info [ "demands" ] ~doc:"Number of gravity-model demands.")
   in
   let k =
-    Arg.(value & opt int 3 & info [ "k" ] ~doc:"Paths used by multipath.")
+    Arg.(value & opt positive_int 3
+         & info [ "k" ] ~doc:"Paths used by multipath.")
   in
   let run caida transit stubs seed n k =
     let g = topology ~caida ~transit ~stubs ~seed in
@@ -503,10 +521,8 @@ let export_cmd =
     Arg.(value & opt string "export"
          & info [ "out" ] ~doc:"Output directory for CSV files.")
   in
-  let run caida transit stubs seed jobs sup metrics trace sample out =
-    with_obs ~metrics ~trace @@ fun () ->
-    with_jobs jobs @@ fun pool ->
-    let retries = sup.retries and deadline = sup.deadline in
+  let run caida transit stubs seed ctx sample out =
+    with_run ctx @@ fun ~pool ~retries ~deadline ->
     if not (Sys.file_exists out) then Sys.mkdir out 0o755;
     let file name = Filename.concat out name in
     let g = topology ~caida ~transit ~stubs ~seed in
@@ -540,8 +556,8 @@ let export_cmd =
     (Cmd.info "export"
        ~doc:"Run every experiment and write the raw series as CSV files.")
     Term.(
-      const run $ caida_arg $ transit_arg $ stub_arg $ seed_arg $ jobs_arg
-      $ sup_term $ metrics_arg $ trace_arg $ sample_arg $ out)
+      const run $ caida_arg $ transit_arg $ stub_arg $ seed_arg $ run_term
+      $ sample_arg $ out)
 
 (* ------------------------------------------------------------------ *)
 (* serve: resident path-query service (lib/service)                    *)
@@ -560,14 +576,14 @@ let serve_cmd =
   in
   let requests_arg =
     let doc = "Length of the generated stream (queries plus events)." in
-    Arg.(value & opt int 200 & info [ "requests" ] ~doc ~docv:"N")
+    Arg.(value & opt nonneg_int 200 & info [ "requests" ] ~doc ~docv:"N")
   in
   let churn_arg =
     let doc =
       "Probability that a generated stream item is a link up/down event \
        instead of a query."
     in
-    Arg.(value & opt float 0.05 & info [ "churn" ] ~doc ~docv:"P")
+    Arg.(value & opt probability 0.05 & info [ "churn" ] ~doc ~docv:"P")
   in
   let mode_arg =
     let doc =
@@ -605,19 +621,12 @@ let serve_cmd =
     Arg.(
       value & opt (some intent_conv) None & info [ "intent" ] ~doc ~docv:"SPEC")
   in
-  let run caida transit stubs seed jobs sup metrics trace snapshot stream
-      intent requests churn mode oracle =
-    with_obs ~metrics ~trace @@ fun () ->
-    match
-      let topo =
-        match snapshot with
-        | Some path ->
-            let b = Snapshot.load path in
-            Format.fprintf fmt "# loaded snapshot %s: %a@." path
-              Compact.pp_stats b.Snapshot.topo;
-            b.Snapshot.topo
-        | None -> Compact.freeze (topology ~caida ~transit ~stubs ~seed)
-      in
+  let run caida transit stubs seed ctx snapshot stream intent requests churn
+      mode oracle =
+    with_run ctx @@ fun ~pool ~retries ~deadline ->
+    let outcome =
+      or_exit @@ fun () ->
+      let topo = frozen_topology ~snapshot ~caida ~transit ~stubs ~seed in
       let items =
         match stream with
         | Some path ->
@@ -632,23 +641,16 @@ let serve_cmd =
               (seed + 2) requests churn;
             s
       in
-      with_jobs jobs (fun pool ->
-          Serve.run ~pool ~retries:sup.retries ?deadline:sup.deadline ~oracle
-            ~mode ~topo items)
-    with
-    | outcome ->
-        Format.fprintf fmt "%s" outcome.Serve.transcript;
-        let s = outcome.Serve.stats in
-        Format.fprintf fmt
-          "# served %d queries (%d store hits, %d misses), %d events, %d \
-           invalidations@."
-          s.Engine.queries s.Engine.store_hits s.Engine.store_misses
-          s.Engine.events s.Engine.invalidated;
-        Format.fprintf fmt "# transcript fingerprint %s@."
-          outcome.Serve.fingerprint
-    | exception Invalid_argument msg ->
-        Format.eprintf "panagree: %s@." msg;
-        exit 1
+      Serve.run ~pool ~retries ?deadline ~oracle ~mode ~topo items
+    in
+    Format.fprintf fmt "%s" outcome.Serve.transcript;
+    let s = outcome.Serve.stats in
+    Format.fprintf fmt
+      "# served %d queries (%d store hits, %d misses), %d events, %d \
+       invalidations@."
+      s.Engine.queries s.Engine.store_hits s.Engine.store_misses
+      s.Engine.events s.Engine.invalidated;
+    Format.fprintf fmt "# transcript fingerprint %s@." outcome.Serve.fingerprint
   in
   Cmd.v
     (Cmd.info "serve"
@@ -657,9 +659,9 @@ let serve_cmd =
           from a per-pair memoized store while draining link churn over \
           the incrementally-updated frozen core.")
     Term.(
-      const run $ caida_arg $ transit_arg $ stub_arg $ seed_arg $ jobs_arg
-      $ sup_term $ metrics_arg $ trace_arg $ snapshot_arg $ stream_arg
-      $ intent_arg $ requests_arg $ churn_arg $ mode_arg $ oracle_arg)
+      const run $ caida_arg $ transit_arg $ stub_arg $ seed_arg $ run_term
+      $ snapshot_arg $ stream_arg $ intent_arg $ requests_arg $ churn_arg
+      $ mode_arg $ oracle_arg)
 
 (* ------------------------------------------------------------------ *)
 (* market: concurrent MA negotiation marketplace (lib/market)          *)
@@ -737,18 +739,13 @@ let market_cmd =
     in
     Arg.(value & flag & info [ "oracle" ] ~doc)
   in
-  let run caida transit stubs seed jobs sup metrics trace snapshot epochs w
-      demands min_gain max_candidates chunk mechanism oracle =
-    with_obs ~metrics ~trace @@ fun () ->
-    match
+  let run caida transit stubs seed ctx snapshot epochs w demands min_gain
+      max_candidates chunk mechanism oracle =
+    with_run ctx @@ fun ~pool ~retries ~deadline ->
+    let result =
+      or_exit @@ fun () ->
       let g =
-        match snapshot with
-        | Some path ->
-            let b = Snapshot.load path in
-            Format.fprintf fmt "# loaded snapshot %s: %a@." path
-              Compact.pp_stats b.Snapshot.topo;
-            Compact.thaw b.Snapshot.topo
-        | None -> topology ~caida ~transit ~stubs ~seed
+        Compact.thaw (frozen_topology ~snapshot ~caida ~transit ~stubs ~seed)
       in
       let config =
         {
@@ -761,14 +758,9 @@ let market_cmd =
           seed;
         }
       in
-      with_jobs jobs (fun pool ->
-          Market.run ~pool ~retries:sup.retries ?deadline:sup.deadline ~oracle
-            ~mechanism config g)
-    with
-    | result -> Market.pp fmt result
-    | exception Invalid_argument msg ->
-        Format.eprintf "panagree: %s@." msg;
-        exit 1
+      Market.run ~pool ~retries ?deadline ~oracle ~mechanism config g
+    in
+    Market.pp fmt result
   in
   Cmd.v
     (Cmd.info "market"
@@ -778,10 +770,9 @@ let market_cmd =
           concurrently (chunk-deterministic), splice signed agreements \
           back into the core, and repeat for --epochs rounds.")
     Term.(
-      const run $ caida_arg $ transit_arg $ stub_arg $ seed_arg $ jobs_arg
-      $ sup_term $ metrics_arg $ trace_arg $ snapshot_arg $ epochs_arg $ w_arg
-      $ demands_arg $ min_gain_arg $ max_candidates_arg $ chunk_arg
-      $ mechanism_arg $ oracle_arg)
+      const run $ caida_arg $ transit_arg $ stub_arg $ seed_arg $ run_term
+      $ snapshot_arg $ epochs_arg $ w_arg $ demands_arg $ min_gain_arg
+      $ max_candidates_arg $ chunk_arg $ mechanism_arg $ oracle_arg)
 
 (* ------------------------------------------------------------------ *)
 (* paths                                                               *)
@@ -820,18 +811,11 @@ let paths_cmd =
   in
   let run caida transit stubs seed metrics trace snapshot faults src dst
       intent probe =
-    Option.iter (fun spec -> Pan_runner.Fault.set (Some spec)) faults;
+    set_faults faults;
     with_obs ~metrics ~trace @@ fun () ->
-    match
-      let topo =
-        match snapshot with
-        | Some path ->
-            let b = Snapshot.load path in
-            Format.fprintf fmt "# loaded snapshot %s: %a@." path
-              Compact.pp_stats b.Snapshot.topo;
-            b.Snapshot.topo
-        | None -> Compact.freeze (topology ~caida ~transit ~stubs ~seed)
-      in
+    let topo, src, dst, results =
+      or_exit @@ fun () ->
+      let topo = frozen_topology ~snapshot ~caida ~transit ~stubs ~seed in
       let lookup label x =
         match Compact.index_of topo (Asn.of_int x) with
         | Some i -> i
@@ -843,44 +827,29 @@ let paths_cmd =
       (* The engine's intent environment — the same scores [serve]
          renders for the same seed. *)
       let engine = Engine.create topo in
-      let results = Engine.intent_query engine ~src ~dst intent in
-      (topo, src, dst, results)
-    with
-    | topo, src, dst, results ->
-        Format.fprintf fmt "%s@."
-          (Serve.render_intent_query topo ~src ~dst intent results);
-        if probe then begin
-          let open Pan_intent in
-          let candidates =
-            List.map (fun r -> r.Candidates.path) results
-          in
-          let o = Probe.run ~topo candidates in
-          List.iteri
-            (fun i (a : Probe.attempt) ->
-              match a.failed_link with
-              | Some (x, y) ->
-                  Format.fprintf fmt "probe %d: %s failed (link %a-%a down)@."
-                    (i + 1)
-                    (String.concat " "
-                       (List.map (fun x -> Format.asprintf "%a" Asn.pp x)
-                          a.path))
-                    Asn.pp x Asn.pp y
-              | None ->
-                  Format.fprintf fmt "probe %d: %s ok@." (i + 1)
-                    (String.concat " "
-                       (List.map (fun x -> Format.asprintf "%a" Asn.pp x)
-                          a.path)))
-            o.Probe.attempts;
-          match o.Probe.selected with
-          | Some path ->
-              Format.fprintf fmt "selected: %s@."
-                (String.concat " "
-                   (List.map (fun x -> Format.asprintf "%a" Asn.pp x) path))
-          | None -> Format.fprintf fmt "selected: none (all candidates down)@."
-        end
-    | exception Invalid_argument msg ->
-        Format.eprintf "panagree: %s@." msg;
-        exit 1
+      (topo, src, dst, Engine.intent_query engine ~src ~dst intent)
+    in
+    Format.fprintf fmt "%s@."
+      (Serve.render_intent_query topo ~src ~dst intent results);
+    if probe then begin
+      let open Pan_intent in
+      let path_str p =
+        String.concat " " (List.map (Format.asprintf "%a" Asn.pp) p)
+      in
+      let o = Probe.run ~topo (List.map (fun r -> r.Candidates.path) results) in
+      List.iteri
+        (fun i (a : Probe.attempt) ->
+          match a.failed_link with
+          | Some (x, y) ->
+              Format.fprintf fmt "probe %d: %s failed (link %a-%a down)@."
+                (i + 1) (path_str a.path) Asn.pp x Asn.pp y
+          | None ->
+              Format.fprintf fmt "probe %d: %s ok@." (i + 1) (path_str a.path))
+        o.Probe.attempts;
+      match o.Probe.selected with
+      | Some path -> Format.fprintf fmt "selected: %s@." (path_str path)
+      | None -> Format.fprintf fmt "selected: none (all candidates down)@."
+    end
   in
   Cmd.v
     (Cmd.info "paths"
@@ -931,10 +900,8 @@ let validate_bench_cmd =
 (* all                                                                 *)
 
 let all_cmd =
-  let run seed jobs sup metrics trace =
-    with_obs ~metrics ~trace @@ fun () ->
-    with_jobs jobs @@ fun pool ->
-    let retries = sup.retries and deadline = sup.deadline in
+  let run seed ctx =
+    with_run ctx @@ fun ~pool ~retries ~deadline ->
     Format.fprintf fmt "=== E7 gadgets ===@.";
     Gadget_exp.pp fmt (Gadget_exp.run ~seed ());
     Format.fprintf fmt "@.=== E8 methods ===@.";
@@ -962,7 +929,7 @@ let all_cmd =
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Run every experiment at reduced scale.")
-    Term.(const run $ seed_arg $ jobs_arg $ sup_term $ metrics_arg $ trace_arg)
+    Term.(const run $ seed_arg $ run_term)
 
 let () =
   let info =

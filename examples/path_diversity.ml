@@ -37,6 +37,12 @@ let () =
     (Asn.Set.cardinal (Graph.peers g x))
     (Asn.Set.cardinal (Graph.customers g x));
 
+  (* Enumerate over the frozen core: AS indices instead of ASNs. *)
+  let c = Compact.freeze g in
+  let xi = Compact.index_of_exn c x in
+  let asn i = Compact.id c i in
+  let only y = Bitset.of_list ~width:(Compact.num_ases c) [ y ] in
+
   let scenarios =
     Path_enum.
       [ Grc; Ma_top 1; Ma_top 2; Ma_top 5; Ma_direct_only; Ma_all ]
@@ -44,33 +50,34 @@ let () =
   printf "%-14s %-12s %s@." "scenario" "paths" "destinations";
   List.iter
     (fun s ->
-      let paths = Path_enum.scenario_paths g s x in
+      let paths = Path_enum_compact.scenario_paths c s xi in
       printf "%-14s %-12d %d@."
         (Path_enum.scenario_label s)
-        (Path_enum.total_count paths)
-        (Asn.Set.cardinal (Path_enum.dest_set paths)))
+        (Path_enum_compact.total_count paths)
+        (Bitset.cardinal (Path_enum_compact.dest_set paths)))
     scenarios;
 
   (* Which MAs should this AS negotiate first? *)
   printf "@.Most attractive MA partners (by directly gained paths):@.";
   List.iter
     (fun y ->
-      let gain = Path_enum.ma_direct ~partners:(Asn.Set.singleton y) g x in
-      printf "  %a: %d new length-3 paths@." Asn.pp y
-        (Path_enum.total_count gain))
-    (Path_enum.top_partners g ~n:5 x);
+      let gain = Path_enum_compact.ma_direct ~partners:(only y) c xi in
+      printf "  %a: %d new length-3 paths@." Asn.pp (asn y)
+        (Path_enum_compact.total_count gain))
+    (Path_enum_compact.top_partners c ~n:5 xi);
 
   (* A few of the concrete new paths from the best agreement. *)
-  match Path_enum.top_partners g ~n:1 x with
+  match Path_enum_compact.top_partners c ~n:1 xi with
   | [] -> printf "@.This AS has no peers, hence no MA opportunities.@."
   | best :: _ ->
-      let gained = Path_enum.ma_direct ~partners:(Asn.Set.singleton best) g x in
-      printf "@.Example paths gained from the MA with %a:@." Asn.pp best;
+      let gained = Path_enum_compact.ma_direct ~partners:(only best) c xi in
+      printf "@.Example paths gained from the MA with %a:@." Asn.pp (asn best);
       let shown = ref 0 in
-      Path_enum.iter_paths
+      Path_enum_compact.iter_paths
         (fun ~mid ~dst ->
           if !shown < 5 then begin
             incr shown;
-            printf "  %a - %a - %a@." Asn.pp x Asn.pp mid Asn.pp dst
+            printf "  %a - %a - %a@." Asn.pp x Asn.pp (asn mid) Asn.pp
+              (asn dst)
           end)
         gained

@@ -8,7 +8,6 @@ type result = {
 }
 
 type start = Truthful | All_cancel
-type kernel = Fast | Reference
 
 (* The always-cancel strategy: every true utility maps to the cancel
    claim, i.e. the whole real line is claim 0's interval. *)
@@ -27,15 +26,12 @@ let fixed_point ~tol ~candidate_x ~candidate_y ~response_x ~response_y =
   Strategy.equal ~tol response_x candidate_x
   && Strategy.equal ~tol response_y candidate_y
 
-let response ~workspace ~kernel ~opponent_dist ~opponent claims =
+let response ~workspace ~opponent_dist ~opponent claims =
   Obs.time "bosco.br.response" (fun () ->
-      match kernel with
-      | Fast -> Strategy.best_response ~workspace ~opponent_dist ~opponent claims
-      | Reference ->
-          Strategy.best_response_reference ~opponent_dist ~opponent claims)
+      Strategy.best_response ~workspace ~opponent_dist ~opponent claims)
 
-let best_response_dynamics ?workspace ?(kernel = Fast) ?(start = Truthful)
-    ?(max_rounds = 2000) ?(tol = 1e-9) (game : Game.t) =
+let best_response_dynamics ?workspace ?(start = Truthful) ?(max_rounds = 2000)
+    ?(tol = 1e-9) (game : Game.t) =
   let open Game in
   let workspace =
     match workspace with Some ws -> ws | None -> Workspace.create ()
@@ -51,11 +47,11 @@ let best_response_dynamics ?workspace ?(kernel = Fast) ?(start = Truthful)
   in
   let rec iterate sx sy round =
     let sx' =
-      response ~workspace ~kernel ~opponent_dist:game.dist_y ~opponent:sy
+      response ~workspace ~opponent_dist:game.dist_y ~opponent:sy
         game.claims_x
     in
     let sy' =
-      response ~workspace ~kernel ~opponent_dist:game.dist_x ~opponent:sx'
+      response ~workspace ~opponent_dist:game.dist_x ~opponent:sx'
         game.claims_y
     in
     if
@@ -67,18 +63,17 @@ let best_response_dynamics ?workspace ?(kernel = Fast) ?(start = Truthful)
   in
   iterate (initial game.claims_x) (initial game.claims_y) 1
 
-let is_equilibrium ?workspace ?(kernel = Fast) ?(tol = 1e-9) (game : Game.t)
-    sx sy =
+let is_equilibrium ?workspace ?(tol = 1e-9) (game : Game.t) sx sy =
   let open Game in
   let workspace =
     match workspace with Some ws -> ws | None -> Workspace.create ()
   in
   let brx =
-    response ~workspace ~kernel ~opponent_dist:game.dist_y ~opponent:sy
+    response ~workspace ~opponent_dist:game.dist_y ~opponent:sy
       game.claims_x
   in
   let bry =
-    response ~workspace ~kernel ~opponent_dist:game.dist_x ~opponent:sx
+    response ~workspace ~opponent_dist:game.dist_x ~opponent:sx
       game.claims_y
   in
   fixed_point ~tol ~candidate_x:sx ~candidate_y:sy ~response_x:brx

@@ -21,16 +21,8 @@ type start =
           showing why the BOSCO service seeds the dynamics with truthful
           behaviour *)
 
-(** Which best-response kernel drives the dynamics. *)
-type kernel =
-  | Fast  (** {!Strategy.best_response}: prefix sums + monotone envelope *)
-  | Reference
-      (** {!Strategy.best_response_reference}: the original O(W²) kernel;
-          the bench's baseline and the fingerprint-equality oracle *)
-
 val best_response_dynamics :
   ?workspace:Workspace.t ->
-  ?kernel:kernel ->
   ?start:start ->
   ?max_rounds:int ->
   ?tol:float ->
@@ -38,16 +30,15 @@ val best_response_dynamics :
   result
 (** Alternate exact best responses from the chosen starting strategies
     until a fixed point (tolerance [tol], default [1e-9]) or [max_rounds]
-    (default 2000).  [kernel] defaults to [Fast]; [workspace] (created
-    internally when absent) carries all kernel buffers and the opponent
-    CDF cache across rounds, so a round allocates only its two threshold
+    (default 2000).  [workspace] (created internally when absent)
+    carries the {!Strategy.best_response} buffers and the opponent CDF
+    cache across rounds, so a round allocates only its two threshold
     arrays.  Adds the executed round count to the [bosco.br.rounds]
     counter and records each response's duration in the
     [bosco.br.response] histogram. *)
 
 val is_equilibrium :
   ?workspace:Workspace.t ->
-  ?kernel:kernel ->
   ?tol:float ->
   Game.t ->
   Strategy.t ->

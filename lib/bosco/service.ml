@@ -18,8 +18,8 @@ let build_claims construction rng dist w =
   | Random_sampling -> Claim.sample rng dist w
   | Grid -> Claim.grid dist w
 
-let negotiate ?(construction = Random_sampling) ?truthful ?workspace ?kernel
-    ~rng ~dist_x ~dist_y ~w () =
+let negotiate ?(construction = Random_sampling) ?truthful ?workspace ~rng
+    ~dist_x ~dist_y ~w () =
   if w < 1 then invalid_arg "Service.negotiate: w < 1";
   let claims_x = build_claims construction rng dist_x w in
   let claims_y = build_claims construction rng dist_y w in
@@ -30,7 +30,7 @@ let negotiate ?(construction = Random_sampling) ?truthful ?workspace ?kernel
   let workspace =
     match workspace with Some ws -> ws | None -> Workspace.create ()
   in
-  let eq = Equilibrium.best_response_dynamics ~workspace ?kernel game in
+  let eq = Equilibrium.best_response_dynamics ~workspace game in
   let pod =
     Efficiency.price_of_dishonesty ~workspace ?truthful game
       eq.Equilibrium.strategy_x eq.Equilibrium.strategy_y
@@ -48,7 +48,7 @@ let negotiate ?(construction = Random_sampling) ?truthful ?workspace ?kernel
       Strategy.support_size ~workspace dist_y eq.Equilibrium.strategy_y;
   }
 
-let trials ?(construction = Random_sampling) ?kernel ?pool ?(chunk = 8)
+let trials ?(construction = Random_sampling) ?pool ?(chunk = 8)
     ?retries ?deadline ~rng ~dist_x ~dist_y ~w ~n () =
   if n < 1 then invalid_arg "Service.trials: n < 1";
   let truthful =
@@ -63,8 +63,8 @@ let trials ?(construction = Random_sampling) ?kernel ?pool ?(chunk = 8)
         Pan_runner.Task.map_reduce ?pool ?retries ?deadline ~rng ~n ~chunk
           ~f:(fun crng _ ->
             let r =
-              negotiate ~construction ~truthful ?kernel ~rng:crng ~dist_x
-                ~dist_y ~w ()
+              negotiate ~construction ~truthful ~rng:crng ~dist_x ~dist_y ~w
+                ()
             in
             Obs.incr "bosco.trials";
             if r.converged then Obs.incr "bosco.converged";

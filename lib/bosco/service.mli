@@ -30,7 +30,6 @@ val negotiate :
   ?construction:construction ->
   ?truthful:float ->
   ?workspace:Workspace.t ->
-  ?kernel:Equilibrium.kernel ->
   rng:Rng.t ->
   dist_x:Distribution.t ->
   dist_y:Distribution.t ->
@@ -41,12 +40,10 @@ val negotiate :
     best-response dynamics, and score the equilibrium.  [truthful]
     optionally reuses a precomputed truthful benchmark.  A fresh
     {!Workspace.t} is created per negotiation unless [workspace] is
-    given; [kernel] selects the best-response kernel (default
-    {!Equilibrium.Fast}). *)
+    given. *)
 
 val trials :
   ?construction:construction ->
-  ?kernel:Equilibrium.kernel ->
   ?pool:Pan_runner.Pool.t ->
   ?chunk:int ->
   ?retries:int ->

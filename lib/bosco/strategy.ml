@@ -49,113 +49,7 @@ let choice_probabilities dist t =
   in
   Array.init w (fun i -> Float.max 0.0 (cdf th.(i + 1) -. cdf th.(i)))
 
-let line_coefficients ~opponent_dist ~opponent own_claims =
-  let opp_values = Claim.values opponent.claims in
-  let opp_probs = choice_probabilities opponent_dist opponent in
-  Array.map
-    (fun v ->
-      if v = neg_infinity then (0.0, 0.0)
-      else begin
-        let m = ref 0.0 and q = ref 0.0 in
-        Array.iteri
-          (fun j vy ->
-            if vy >= -.v then begin
-              m := !m +. opp_probs.(j);
-              q := !q +. (opp_probs.(j) *. ((vy -. v) /. 2.0))
-            end)
-          opp_values;
-        (!m, !q)
-      end)
-    (Claim.values own_claims)
-
-(* Upper envelope of the lines (m_i, q_i): since m is non-decreasing in i,
-   the envelope assigns claims with larger index to larger utilities.  This
-   is Algorithm 1 with an explicit left-to-right walk — the original
-   O(W²) kernel, kept verbatim as the oracle the fast kernel is tested
-   against (and benchmarked over). *)
-let best_response_reference ~opponent_dist ~opponent own_claims =
-  let lines = line_coefficients ~opponent_dist ~opponent own_claims in
-  let w = Array.length lines in
-  (* A line is dominated if a parallel line lies strictly above it, or is a
-     duplicate with a smaller index. *)
-  let dominated i =
-    let mi, qi = lines.(i) in
-    let result = ref false in
-    Array.iteri
-      (fun j (mj, qj) ->
-        if j <> i && mj = mi then
-          if qj > qi || (qj = qi && j < i) then result := true)
-      lines;
-    !result
-  in
-  let candidates =
-    List.filter (fun i -> not (dominated i)) (List.init w Fun.id)
-  in
-  (* Start: best line as u -> -inf (minimal slope, then maximal
-     intercept). *)
-  let start =
-    List.fold_left
-      (fun best i ->
-        match best with
-        | None -> Some i
-        | Some b ->
-            let mb, qb = lines.(b) and mi, qi = lines.(i) in
-            if mi < mb || (mi = mb && qi > qb) then Some i else Some b)
-      None candidates
-  in
-  let start = Option.get start in
-  (* Walk the envelope: from the current line, the next is the candidate
-     with steeper slope whose intersection comes first. *)
-  let intersection i j =
-    let mi, qi = lines.(i) and mj, qj = lines.(j) in
-    (qi -. qj) /. (mj -. mi)
-  in
-  let rec walk current from acc =
-    let mi, _ = lines.(current) in
-    let next =
-      List.fold_left
-        (fun best j ->
-          let mj, _ = lines.(j) in
-          if mj <= mi then best
-          else
-            let x = intersection current j in
-            match best with
-            | None -> Some (j, x)
-            | Some (jb, xb) ->
-                if
-                  x < xb
-                  || (x = xb && fst lines.(j) > fst lines.(jb))
-                then Some (j, x)
-                else best)
-        None candidates
-    in
-    match next with
-    | None -> List.rev ((current, from) :: acc)
-    | Some (j, x) ->
-        let x = Float.max x from in
-        walk j x ((current, from) :: acc)
-  in
-  let records = walk start neg_infinity [] in
-  (* Convert the visited (claim index, interval start) records into the
-     threshold series; unvisited claims get empty intervals (paper's final
-     fill loop). *)
-  let unset = Float.nan in
-  let th = Array.make (w + 1) unset in
-  th.(0) <- neg_infinity;
-  th.(w) <- infinity;
-  List.iter
-    (fun (idx, from) -> if idx > 0 then th.(idx) <- from)
-    records;
-  for i = w - 1 downto 1 do
-    if Float.is_nan th.(i) then th.(i) <- th.(i + 1)
-  done;
-  (* Monotonicity can be violated by floating-point ties; repair. *)
-  for i = 1 to w - 1 do
-    if th.(i) < th.(i - 1) then th.(i) <- th.(i - 1)
-  done;
-  { claims = own_claims; thresholds = th }
-
-(* Fast kernel: same envelope, computed in O(W log W).
+(* Algorithm 1: the upper envelope of the claims' lines, in O(W log W).
 
    Eq. 16/17 for own claim v against the opponent's sorted claims v_y and
    choice probabilities p: the qualifying set {j : v_y(j) >= -v} is a
@@ -168,20 +62,20 @@ let best_response_reference ~opponent_dist ~opponent own_claims =
    mass would be cancelled away by [total − prefix] (absolute error of
    the total, catastrophic relative error of the tail), whereas a
    right-to-left accumulation of non-negative terms keeps every suffix
-   to full relative precision, like the reference's per-claim sums over
-   the same terms.  The upper envelope
-   of the resulting lines is a single monotone pass: slopes are
-   non-decreasing in the claim index, so a stack walk pops every line
-   whose interval the next line empties — the convex-hull trick.  The
-   parallel-line dominance rule matches the reference exactly: equal
-   slopes form a contiguous run (slopes are monotone), within which only
-   the first maximal-intercept line survives.
+   to full relative precision, like per-claim sums over the same terms.
+   The upper envelope of the resulting lines is a single monotone pass:
+   slopes are non-decreasing in the claim index, so a stack walk pops
+   every line whose interval the next line empties — the convex-hull
+   trick.  Among parallel lines only the first maximal-intercept one
+   survives: equal slopes form a contiguous run (slopes are monotone),
+   so this is a check against the stack top.
 
    All buffers and the opponent CDF evaluations come from the workspace,
    so a best-response-dynamics round allocates nothing but the returned
-   threshold array.  Results agree with the reference kernel to the
-   reassociation error of the suffix sums (thresholds within ~1e-12;
-   test/test_strategy_fast.ml pins this down). *)
+   threshold array.  Results agree with the O(W²) reference of the
+   test oracle library to the reassociation error of the suffix sums
+   (thresholds within ~1e-12; test/test_strategy_fast.ml pins this
+   down). *)
 let best_response ?workspace ~opponent_dist ~opponent own_claims =
   let ws =
     match workspace with Some ws -> ws | None -> Workspace.create ()
@@ -250,8 +144,8 @@ let best_response ?workspace ~opponent_dist ~opponent own_claims =
       stack_from.(!top) <- from
     end
   done;
-  (* Same record-to-threshold conversion as the reference: visited claims
-     get their interval start, unvisited ones empty intervals. *)
+  (* Visited claims get their interval start, unvisited ones empty
+     intervals (the paper's final fill loop). *)
   let unset = Float.nan in
   let th = Array.make (w + 1) unset in
   th.(0) <- neg_infinity;

@@ -34,32 +34,18 @@ val apply : t -> float -> float
 val choice_probabilities : Distribution.t -> t -> float array
 (** [P(σ(u) = v_i)] under the given utility distribution (Eq. 15). *)
 
-val line_coefficients :
-  opponent_dist:Distribution.t -> opponent:t -> Claim.t -> (float * float) array
-(** For each own claim [v_i], the coefficients [(m_i, q_i)] of the expected
-    after-negotiation utility [m_i·u + q_i] (Eq. 16/17), given the
-    opponent's strategy. The cancel claim has coefficients [(0, 0)]. *)
-
 val best_response :
   ?workspace:Workspace.t ->
   opponent_dist:Distribution.t ->
   opponent:t ->
   Claim.t ->
   t
-(** Algorithm 1, fast kernel: the upper-envelope best response in
-    O(W log W) — per-claim sums read off precomputed suffix sums with the
-    suffix boundary found by binary search, and the envelope by one
-    monotone stack pass over the slope-sorted lines.  [workspace] supplies
+(** Algorithm 1: the upper-envelope best response in O(W log W) —
+    per-claim sums read off precomputed suffix sums with the suffix
+    boundary found by binary search, and the envelope by one monotone
+    stack pass over the slope-sorted lines.  [workspace] supplies
     reusable buffers and the opponent-CDF cache; without it a private
-    workspace is allocated per call.  Agrees with
-    {!best_response_reference} up to the suffix sums' reassociation error
-    (thresholds within ~1e-12). *)
-
-val best_response_reference :
-  opponent_dist:Distribution.t -> opponent:t -> Claim.t -> t
-(** The original O(W²) kernel (per-claim rescans of the opponent's choice
-    set, quadratic dominance check, candidate-scanning envelope walk),
-    kept as the test oracle and benchmark baseline for {!best_response}. *)
+    workspace is allocated per call. *)
 
 val equal : ?tol:float -> t -> t -> bool
 (** Same claim set ({!Claim.equal} with the same [tol]) and thresholds

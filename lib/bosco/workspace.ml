@@ -73,10 +73,10 @@ let same_thresholds a b =
          done;
          !ok)
 
-(* The reference evaluates the CDF independently at both ends of every
-   interval; evaluating each threshold point once yields the exact same
-   floats (the CDF is a pure function), so caching cannot perturb
-   results. *)
+(* [Strategy.choice_probabilities] evaluates the CDF independently at
+   both ends of every interval; evaluating each threshold point once
+   yields the exact same floats (the CDF is a pure function), so caching
+   cannot perturb results. *)
 let cdf_at dist x =
   if x = neg_infinity then 0.0
   else if x = infinity then 1.0

@@ -22,24 +22,13 @@ let settle (u_x, u_y) =
         concluded = false;
       }
 
-let optimize_at ?(kernel = Model_fast.Fast) ?workspace scenario choices =
-  match kernel with
-  | Model_fast.Reference ->
-      settle (Traffic_model.utilities_exn scenario choices)
-  | Model_fast.Fast ->
-      settle
-        (Model_fast.utilities_exn ?workspace (Model_fast.compile scenario)
-           choices)
-
-let optimize_at_compiled ?workspace model choices =
-  settle (Model_fast.utilities_exn ?workspace model choices)
-
 let optimize_compiled ?workspace model =
-  optimize_at_compiled ?workspace model
-    (Traffic_model.full_choice (Model_fast.scenario model))
+  settle
+    (Model_fast.utilities_exn ?workspace model
+       (Traffic_model.full_choice (Model_fast.scenario model)))
 
-let optimize ?kernel ?workspace scenario =
-  optimize_at ?kernel ?workspace scenario (Traffic_model.full_choice scenario)
+let optimize ?workspace scenario =
+  optimize_compiled ?workspace (Model_fast.compile scenario)
 
 let pp fmt r =
   if r.concluded then

@@ -14,30 +14,11 @@ type result = {
   concluded : bool;
 }
 
-val optimize :
-  ?kernel:Model_fast.kernel ->
-  ?workspace:Econ_workspace.t ->
-  Traffic_model.scenario ->
-  result
-(** Estimate utilities at {!Traffic_model.full_choice} and settle with the
-    Nash transfer.  [kernel] (default [Fast]) picks the utility evaluator;
-    both kernels produce identical results (see {!Model_fast}). *)
-
-val optimize_at :
-  ?kernel:Model_fast.kernel ->
-  ?workspace:Econ_workspace.t ->
-  Traffic_model.scenario ->
-  Traffic_model.choice list ->
-  result
-(** Same, with an explicit expected-volume forecast. *)
+val optimize : ?workspace:Econ_workspace.t -> Traffic_model.scenario -> result
+(** Estimate utilities at {!Traffic_model.full_choice} (evaluated by
+    {!Model_fast}) and settle with the Nash transfer. *)
 
 val optimize_compiled : ?workspace:Econ_workspace.t -> Model_fast.t -> result
 (** {!optimize} on an already-compiled scenario. *)
-
-val optimize_at_compiled :
-  ?workspace:Econ_workspace.t ->
-  Model_fast.t ->
-  Traffic_model.choice list ->
-  result
 
 val pp : Format.formatter -> result -> unit

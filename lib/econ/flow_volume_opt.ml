@@ -14,18 +14,12 @@ let choices_of_vector demands v =
       Traffic_model.{ reroute = v.(2 * i); attracted = v.((2 * i) + 1) })
     demands
 
-(* Exact penalty: feasible points score their Nash product, infeasible
-   points score the (negative) worst utility, which is continuous across
-   the boundary and pushes the simplex back into the feasible region. *)
-let objective scenario demands v =
-  let choices = choices_of_vector demands v in
-  match Traffic_model.utilities scenario choices with
-  | Error _ -> neg_infinity
-  | Ok (ux, uy) ->
-      let worst = Float.min ux uy in
-      if worst < 0.0 then worst else ux *. uy
-
-let optimize_with ~objective scenario ?starts_per_dim ?max_iter () =
+(* The objective is {!Model_fast.nash_objective}'s exact penalty:
+   feasible points score their Nash product, infeasible points score the
+   (negative) worst utility, which is continuous across the boundary and
+   pushes the simplex back into the feasible region. *)
+let optimize_compiled ?workspace ?starts_per_dim ?max_iter model =
+  let scenario = Model_fast.scenario model in
   let demands = Traffic_model.demands scenario in
   if demands = [] then
     let u_x, u_y =
@@ -46,8 +40,12 @@ let optimize_with ~objective scenario ?starts_per_dim ?max_iter () =
              [ (0.0, d.reroutable); (0.0, d.attracted_max) ])
            demands)
     in
+    let workspace =
+      match workspace with Some ws -> ws | None -> Econ_workspace.create ()
+    in
     let best, _ =
-      Optimize.multistart_nelder_mead ?starts_per_dim ?max_iter ~f:objective
+      Optimize.multistart_nelder_mead ?starts_per_dim ?max_iter
+        ~f:(Model_fast.nash_objective ~workspace model)
         ~box ()
     in
     let choices = choices_of_vector demands best in
@@ -64,25 +62,9 @@ let optimize_with ~objective scenario ?starts_per_dim ?max_iter () =
     { choices; u_x; u_y; nash = Nash.product u_x u_y; concluded }
   end
 
-let optimize_compiled ?workspace ?starts_per_dim ?max_iter model =
-  let workspace =
-    match workspace with Some ws -> ws | None -> Econ_workspace.create ()
-  in
-  optimize_with
-    ~objective:(Model_fast.nash_objective ~workspace model)
-    (Model_fast.scenario model) ?starts_per_dim ?max_iter ()
-
-let optimize ?(kernel = Model_fast.Fast) ?workspace ?starts_per_dim ?max_iter
-    scenario =
-  match kernel with
-  | Model_fast.Reference ->
-      let demands = Traffic_model.demands scenario in
-      optimize_with
-        ~objective:(objective scenario demands)
-        scenario ?starts_per_dim ?max_iter ()
-  | Model_fast.Fast ->
-      optimize_compiled ?workspace ?starts_per_dim ?max_iter
-        (Model_fast.compile scenario)
+let optimize ?workspace ?starts_per_dim ?max_iter scenario =
+  optimize_compiled ?workspace ?starts_per_dim ?max_iter
+    (Model_fast.compile scenario)
 
 let pp fmt r =
   Format.fprintf fmt "%s: u_x=%g u_y=%g nash=%g targets=[%a]"

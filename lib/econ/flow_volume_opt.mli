@@ -24,18 +24,14 @@ type result = {
 }
 
 val optimize :
-  ?kernel:Model_fast.kernel ->
   ?workspace:Econ_workspace.t ->
   ?starts_per_dim:int ->
   ?max_iter:int ->
   Traffic_model.scenario ->
   result
-(** [kernel] (default [Fast]) selects the objective evaluated inside the
-    Nelder–Mead loop: the {!Model_fast} flat kernel or the original
-    map-based reference.  The two are bit-identical by construction (see
-    {!Model_fast}), so the result does not depend on the choice; the
-    reference is retained as the equivalence oracle.  The reported
-    utilities are always re-evaluated through {!Traffic_model}. *)
+(** The Nelder–Mead loop evaluates the objective on the scenario
+    compiled by {!Model_fast}; the reported utilities are re-evaluated
+    through {!Traffic_model}. *)
 
 val optimize_compiled :
   ?workspace:Econ_workspace.t ->
@@ -43,7 +39,7 @@ val optimize_compiled :
   ?max_iter:int ->
   Model_fast.t ->
   result
-(** Fast-kernel optimization of an already-compiled scenario (shares the
-    compilation with other per-scenario work, e.g. {!Negotiation}). *)
+(** {!optimize} on an already-compiled scenario (shares the compilation
+    with other per-scenario work, e.g. {!Negotiation}). *)
 
 val pp : Format.formatter -> result -> unit

@@ -1,7 +1,6 @@
 open Pan_topology
 module Obs = Pan_obs.Obs
 
-type kernel = Fast | Reference
 
 (* One Flows.add performed by Traffic_model.apply_segment, precompiled to
    a slot index in the party's flat flow buffer. *)

@@ -17,11 +17,6 @@
     identity under float addition here).  The qcheck suite in
     [test_econ_fast.ml] pins this equivalence. *)
 
-type kernel = Fast | Reference
-(** Which evaluation path call sites use ({!Flow_volume_opt},
-    {!Cash_opt}, {!Negotiation}).  [Reference] keeps the original
-    map-based implementation alive as an oracle. *)
-
 type t
 (** A scenario compiled for repeated evaluation. *)
 

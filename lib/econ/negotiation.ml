@@ -3,23 +3,13 @@ type comparison = {
   cash : Cash_opt.result;
 }
 
-let compare_methods ?(kernel = Model_fast.Fast) ?workspace ?starts_per_dim
-    scenario =
-  match kernel with
-  | Model_fast.Reference ->
-      {
-        flow_volume =
-          Flow_volume_opt.optimize ~kernel ?starts_per_dim scenario;
-        cash = Cash_opt.optimize ~kernel scenario;
-      }
-  | Model_fast.Fast ->
-      (* Compile once; both methods evaluate on the same flat model. *)
-      let model = Model_fast.compile scenario in
-      {
-        flow_volume =
-          Flow_volume_opt.optimize_compiled ?workspace ?starts_per_dim model;
-        cash = Cash_opt.optimize_compiled ?workspace model;
-      }
+let compare_methods ?workspace ?starts_per_dim scenario =
+  let model = Model_fast.compile scenario in
+  {
+    flow_volume =
+      Flow_volume_opt.optimize_compiled ?workspace ?starts_per_dim model;
+    cash = Cash_opt.optimize_compiled ?workspace model;
+  }
 
 let cash_joint c =
   if c.cash.Cash_opt.concluded then

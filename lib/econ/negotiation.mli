@@ -12,15 +12,12 @@ type comparison = {
 }
 
 val compare_methods :
-  ?kernel:Model_fast.kernel ->
   ?workspace:Econ_workspace.t ->
   ?starts_per_dim:int ->
   Traffic_model.scenario ->
   comparison
-(** [kernel] (default [Fast]) selects the utility-evaluation kernel for
-    both methods; the fast path compiles the scenario once and shares the
-    flat model between them.  Results are kernel-independent
-    ({!Model_fast} is bit-identical to the reference). *)
+(** Compiles the scenario once ({!Model_fast}) and shares the flat model
+    between both methods. *)
 
 val cash_joint : comparison -> float
 (** Joint utility achieved by the cash method (0 if not concluded). *)

@@ -172,18 +172,22 @@ let run ?(sample_size = 300) ?(max_demands = 3) ?(seed = 17) g =
     if Array.length all <= sample_size then all
     else Rng.sample_without_replacement rng sample_size all
   in
+  let c = Compact.freeze g in
+  let in_force y z = is_concluded (Compact.id c y) (Compact.id c z) in
   let analyze asn =
-    let grc = Path_enum.grc g asn in
-    let economic = Path_enum.economic_paths ~concluded:is_concluded g asn in
-    let all_ma = Path_enum.scenario_paths g Path_enum.Ma_all asn in
+    let x = Compact.index_of_exn c asn in
+    let grc = Path_enum_compact.grc c x in
+    let economic = Path_enum_compact.economic_paths ~concluded:in_force c x in
+    let all_ma = Path_enum_compact.scenario_paths c Path_enum.Ma_all x in
+    let dests m = Bitset.cardinal (Path_enum_compact.dest_set m) in
     {
       asn;
-      grc_paths = Path_enum.total_count grc;
-      economic_paths = Path_enum.total_count economic;
-      all_ma_paths = Path_enum.total_count all_ma;
-      grc_dests = Asn.Set.cardinal (Path_enum.dest_set grc);
-      economic_dests = Asn.Set.cardinal (Path_enum.dest_set economic);
-      all_ma_dests = Asn.Set.cardinal (Path_enum.dest_set all_ma);
+      grc_paths = Path_enum_compact.total_count grc;
+      economic_paths = Path_enum_compact.total_count economic;
+      all_ma_paths = Path_enum_compact.total_count all_ma;
+      grc_dests = dests grc;
+      economic_dests = dests economic;
+      all_ma_dests = dests all_ma;
     }
   in
   {

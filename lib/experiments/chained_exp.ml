@@ -19,22 +19,25 @@ let run ?(sample_size = 200) ?(seed = 7) g =
     if Array.length all <= sample_size then all
     else Rng.sample_without_replacement rng sample_size all
   in
+  let c = Compact.freeze g in
   let analyze asn =
-    let ma3 = Path_enum.ma_direct g asn in
-    let ma3_dests = Path_enum.dest_set ma3 in
-    let grc_dests = Path_enum.dest_set (Path_enum.grc g asn) in
+    let x = Compact.index_of_exn c asn in
+    let ma3 = Path_enum_compact.ma_direct c x in
+    let ma3_dests = Path_enum_compact.dest_set ma3 in
+    let grc_dests = Path_enum_compact.dest_set (Path_enum_compact.grc c x) in
     let chained4_paths, chained_dests = Extension.chained_stats g asn in
-    let known =
-      Asn.Set.union (Graph.neighbors g asn)
-        (Asn.Set.union ma3_dests grc_dests)
-    in
+    let known = Bitset.union ma3_dests grc_dests in
+    Compact.iter_neighbors c x (Bitset.add known);
     {
       asn;
-      ma3_paths = Path_enum.total_count ma3;
+      ma3_paths = Path_enum_compact.total_count ma3;
       chained4_paths;
-      ma3_new_dests = Asn.Set.cardinal (Asn.Set.diff ma3_dests grc_dests);
+      ma3_new_dests = Bitset.cardinal (Bitset.diff ma3_dests grc_dests);
       chained4_extra_dests =
-        Asn.Set.cardinal (Asn.Set.diff chained_dests known);
+        Asn.Set.fold
+          (fun z n ->
+            if Bitset.mem known (Compact.index_of_exn c z) then n else n + 1)
+          chained_dests 0;
     }
   in
   { sampled = Array.to_list (Array.map analyze sample) }

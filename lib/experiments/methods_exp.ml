@@ -21,7 +21,7 @@ type outcome = {
 }
 
 let run ?pool ?retries ?deadline ?(chunk = 4) ?(scenarios = 100) ?(seed = 3)
-    ?kernel () =
+    () =
   Obs.with_span "methods/run" @@ fun () ->
   let g = Gen.fig1 () in
   let d = Gen.fig1_asn 'D' and e = Gen.fig1_asn 'E' in
@@ -30,9 +30,7 @@ let run ?pool ?retries ?deadline ?(chunk = 4) ?(scenarios = 100) ?(seed = 3)
     Pan_runner.Task.map_reduce ?pool ?retries ?deadline ~rng ~n:scenarios ~chunk
       ~f:(fun crng _ ->
         let scenario = Scenario_gen.random_scenario crng g ~x:d ~y:e in
-        let c =
-          Negotiation.compare_methods ?kernel ~starts_per_dim:2 scenario
-        in
+        let c = Negotiation.compare_methods ~starts_per_dim:2 scenario in
         let outcome =
           {
             cash_joint =

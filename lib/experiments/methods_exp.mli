@@ -20,7 +20,6 @@ val run :
   ?chunk:int ->
   ?scenarios:int ->
   ?seed:int ->
-  ?kernel:Pan_econ.Model_fast.kernel ->
   unit ->
   report
 (** Randomized scenarios on the Fig. 1 topology between peers D and E

@@ -75,37 +75,6 @@ let qualify scores =
       scores
   end
 
-(* Reference implementation for the tests: scalar Nash helpers and a
-   quadratic rescan of the whole candidate set per endpoint.  The batch
-   helpers are slot-by-slot identical to the scalar ones, so [qualify]
-   must agree bit-for-bit. *)
-let qualify_oracle scores =
-  let share_of s = Nash.after_transfer ~u_x:s.u_x ~u_y:s.u_y in
-  let best_for a =
-    Array.fold_left
-      (fun acc s ->
-        if s.cand.Candidates.x = a || s.cand.Candidates.y = a then
-          match share_of s with Some (v, _) when v > acc -> v | _ -> acc
-        else acc)
-      0.0 scores
-  in
-  Array.map
-    (fun s ->
-      let bx = best_for s.cand.Candidates.x
-      and by = best_for s.cand.Candidates.y in
-      match share_of s with
-      | None ->
-          { score = s; share = 0.0; best_x = bx; best_y = by; qualified = false }
-      | Some (v, _) ->
-          {
-            score = s;
-            share = v;
-            best_x = bx;
-            best_y = by;
-            qualified = v >= theta *. bx && v >= theta *. by;
-          })
-    scores
-
 let count_qualified verdicts =
   Array.fold_left (fun acc v -> if v.qualified then acc + 1 else acc) 0 verdicts
 

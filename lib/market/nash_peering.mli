@@ -65,11 +65,6 @@ val qualify : score array -> verdict array
     linear coalition-value sweep.  Deterministic: pure float arithmetic
     in array order. *)
 
-val qualify_oracle : score array -> verdict array
-(** Brute-force reference: scalar Nash helpers, quadratic per-endpoint
-    rescan.  Bit-identical to {!qualify} (qcheck-pinned); test oracle
-    only. *)
-
 val count_qualified : verdict array -> int
 
 val qualify_counted : score array -> verdict array

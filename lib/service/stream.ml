@@ -165,6 +165,7 @@ let load file = parse (In_channel.with_open_text file In_channel.input_all)
    rejection sampling over the full link array — at realistic churn the
    downed fraction stays tiny, so the expected number of draws is ~1. *)
 let generate ?intent ~rng ~topo ~requests ~churn () =
+  if requests < 0 then invalid_arg "Stream.generate: requests < 0";
   let churn = Float.max 0.0 (Float.min 1.0 churn) in
   let n = Compact.num_ases topo in
   if n < 2 then

@@ -75,5 +75,5 @@ val generate :
     the topology's links are currently down, only downs an up link and
     only re-ups a downed one (links never present in [topo] are never
     added).  Queries use ASes present in the topology.
-    @raise Invalid_argument if the topology has fewer than 2 ASes or no
-    links while [churn > 0]. *)
+    @raise Invalid_argument if [requests < 0], the topology has fewer
+    than 2 ASes, or it has no links while [churn > 0]. *)

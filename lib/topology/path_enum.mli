@@ -1,84 +1,10 @@
-(** Enumeration of length-3 paths and of the paths added by mutuality-based
-    agreements (MAs) — the machinery behind §VI and Figs. 3–6.
-
-    A length-3 path has 3 ASes and 2 inter-AS links; for a fixed source [x]
-    it is determined by its middle AS [y] (a neighbor of [x]) and its
-    destination [z] (a neighbor of [y], distinct from [x]).  Path sets are
-    therefore represented as a {e mid-set map}: a map from middle AS to the
-    set of destinations reachable through it.
-
-    Following §VI, for every pair of peers [(a, b)] the generated MA gives
-    [b] access to all of [a]'s providers and peers that are not customers
-    of [b], and vice versa.  An AS gains a path {e directly} by being party
-    to the MA that creates it, and {e indirectly} by being the AS whose
-    connectivity the MA shares (the "subject"). *)
-
-type mid_sets = Asn.Set.t Asn.Map.t
-(** Map from middle AS [y] to the destinations [z] of length-3 paths
-    [x - y - z] for an implicit source [x]. *)
-
-val total_count : mid_sets -> int
-(** Number of paths ([Σ_y |zs(y)|]); for a fixed source and destination all
-    length-3 paths are disjoint, as the paper notes. *)
-
-val dest_set : mid_sets -> Asn.Set.t
-(** Distinct destinations ("nearby destinations" in the paper). *)
-
-val union : mid_sets -> mid_sets -> mid_sets
-val diff : mid_sets -> mid_sets -> mid_sets
-
-val by_destination : mid_sets -> mid_sets
-(** Invert the map: destination ↦ set of middle ASes. Used by the per-pair
-    geodistance and bandwidth analyses. *)
-
-val iter_paths : (mid:Asn.t -> dst:Asn.t -> unit) -> mid_sets -> unit
-
-val grc : Graph.t -> Asn.t -> mid_sets
-(** GRC-conforming length-3 paths from a source: [x - y - z] is included iff
-    [z] is a customer of [y], or [y] is a provider of [x] (so [y] exports
-    peer and provider routes to [x]). *)
-
-val ma_direct : ?partners:Asn.Set.t -> Graph.t -> Asn.t -> mid_sets
-(** Paths the source gains by concluding MAs with its peers (all of them, or
-    only those in [partners]): [x - y - z] with [y] a peer of [x] and [z] a
-    provider or peer of [y] that is neither [x] nor a customer of [x].
-    These are exactly the GRC-violating length-3 paths through a peer, so
-    they are disjoint from {!grc}. *)
-
-val ma_indirect : ?concluded:(Asn.t -> Asn.t -> bool) -> Graph.t -> Asn.t ->
-  mid_sets
-(** Paths the source gains as the subject of other ASes' MAs: [x - y - z]
-    such that the MA between peers [y] and [z] gives [z] access to [x]
-    (i.e. [x] is a provider or peer of [y] and not a customer of [z]).
-    [concluded y z] (default: always true) restricts which MAs are
-    actually in force. *)
-
-val economic_paths :
-  concluded:(Asn.t -> Asn.t -> bool) -> Graph.t -> Asn.t -> mid_sets
-(** Every length-3 path available to the source when only the MAs
-    selected by [concluded] are in force: the GRC baseline plus the
-    direct gains from the source's own concluded MAs plus the indirect
-    gains from other ASes' concluded MAs.  [scenario_paths g Ma_all] is
-    the special case [concluded = fun _ _ -> true]. *)
-
-val top_partners : Graph.t -> n:int -> Asn.t -> Asn.t list
-(** The [n] peers whose MA would directly give the source the most new
-    paths, best first (ties broken by AS number).
-    @raise Invalid_argument if [n < 0]. *)
+(** The MA-conclusion scenarios of §VI and Figs. 3–6, under which
+    {!Path_enum_compact} enumerates a source's length-3 paths. *)
 
 type scenario =
   | Grc  (** no MAs concluded: baseline *)
   | Ma_all  (** all MAs concluded; direct and indirect gains *)
   | Ma_direct_only  (** all MAs concluded; count only directly gained paths *)
   | Ma_top of int  (** the source concludes only its [n] best MAs *)
-
-val scenario_paths : Graph.t -> scenario -> Asn.t -> mid_sets
-(** Every length-3 path available to the source under the scenario
-    (GRC paths are always included — they remain available).  Counts its
-    calls under the [path_enum.legacy] metric; the compact rewrite
-    ({!Path_enum_compact.scenario_paths}) counts [path_enum.compact]. *)
-
-val additional_paths : Graph.t -> scenario -> Asn.t -> mid_sets
-(** [scenario_paths] minus the GRC baseline. *)
 
 val scenario_label : scenario -> string

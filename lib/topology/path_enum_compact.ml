@@ -98,18 +98,6 @@ let by_destination m =
 let iter_paths f m =
   iter_sets (fun mid zs -> Bitset.iter (fun dst -> f ~mid ~dst) zs) m
 
-let to_mid_sets c m =
-  let acc = ref Asn.Map.empty in
-  iter_sets
-    (fun mid zs ->
-      let set =
-        Bitset.fold (fun z s -> Asn.Set.add (Compact.id c z) s) zs
-          Asn.Set.empty
-      in
-      acc := Asn.Map.add (Compact.id c mid) set !acc)
-    m;
-  !acc
-
 (* ------------------------------------------------------------------ *)
 (* Enumeration proper                                                  *)
 

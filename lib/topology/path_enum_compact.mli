@@ -1,33 +1,43 @@
-(** {!Path_enum} rewritten against the frozen {!Compact} core.
+(** Enumeration of length-3 paths and of the paths added by
+    mutuality-based agreements (MAs) — the machinery behind §VI and
+    Figs. 3–6 — over the frozen {!Compact} core.
 
-    Same algebra as the legacy module — length-3 path sets keyed by
-    middle AS — but over interned int indices, with every destination set
-    a {!Bitset} instead of an [Asn.Set.t].  The union / difference that
-    dominate [scenario_paths] sweeps become word-wise array loops, and
-    sources can be enumerated in parallel over one shared frozen
-    topology.
+    A length-3 path has 3 ASes and 2 inter-AS links; for a fixed source
+    [x] it is determined by its middle AS [y] (a neighbor of [x]) and its
+    destination [z] (a neighbor of [y], distinct from [x]).  Path sets are
+    therefore {e mid-sets}: middle AS ↦ set of destinations reachable
+    through it, over interned int indices with every destination set a
+    {!Bitset}, so the unions and differences that dominate
+    [scenario_paths] are word-wise array loops and sources can be
+    enumerated in parallel over one shared frozen topology.  Iteration
+    order is ascending by index, which equals ascending by ASN.
 
-    Results are element-for-element equal to the legacy implementation
-    (modulo interning), the property [test/test_compact.ml] pins down;
-    iteration order is ascending by index, which equals ascending by ASN.
+    Following §VI, for every pair of peers [(a, b)] the generated MA gives
+    [b] access to all of [a]'s providers and peers that are not customers
+    of [b], and vice versa.  An AS gains a path {e directly} by being party
+    to the MA that creates it, and {e indirectly} by being the AS whose
+    connectivity the MA shares (the "subject").
 
-    The scenario type is shared with {!Path_enum}.  [scenario_paths]
-    counts its calls under the [path_enum.compact] metric (the legacy
-    implementation counts [path_enum.legacy]), so a metrics snapshot
-    shows which core served an experiment. *)
+    [scenario_paths] counts its calls under the [path_enum.compact]
+    metric. *)
 
 type mid_sets
 (** Map from middle-AS index to the bitset of destination indices, mids
     ascending. *)
 
 val total_count : mid_sets -> int
+(** Number of paths ([Σ_y |zs(y)|]); for a fixed source and destination all
+    length-3 paths are disjoint, as the paper notes. *)
+
 val dest_set : mid_sets -> Bitset.t
+(** Distinct destinations ("nearby destinations" in the paper). *)
 
 val union : mid_sets -> mid_sets -> mid_sets
 val diff : mid_sets -> mid_sets -> mid_sets
 
 val by_destination : mid_sets -> mid_sets
-(** Invert: destination index ↦ set of middle indices. *)
+(** Invert: destination index ↦ set of middle indices.  Used by the
+    per-pair geodistance and bandwidth analyses. *)
 
 val iter_sets : (int -> Bitset.t -> unit) -> mid_sets -> unit
 (** Visit [(mid, destinations)] rows, mids ascending. *)
@@ -37,21 +47,46 @@ val find : mid_sets -> int -> Bitset.t option
 
 val iter_paths : (mid:int -> dst:int -> unit) -> mid_sets -> unit
 
-val to_mid_sets : Compact.t -> mid_sets -> Path_enum.mid_sets
-(** Convert back to the legacy ASN-keyed representation (tests,
-    interop). *)
-
 val grc : Compact.t -> int -> mid_sets
+(** GRC-conforming length-3 paths from a source: [x - y - z] is included
+    iff [z] is a customer of [y], or [y] is a provider of [x] (so [y]
+    exports peer and provider routes to [x]). *)
+
 val ma_gain : Compact.t -> int -> int -> Bitset.t
+(** [ma_gain c x y]: the destinations [x] gains through an MA with its
+    peer [y] — [y]'s providers and peers, excluding [x] and [x]'s
+    customers. *)
+
 val ma_direct : ?partners:Bitset.t -> Compact.t -> int -> mid_sets
+(** Paths the source gains by concluding MAs with its peers (all of them,
+    or only those in [partners]): [x - y - z] with [z ∈ ma_gain x y].
+    These are exactly the GRC-violating length-3 paths through a peer, so
+    they are disjoint from {!grc}. *)
+
 val ma_indirect : ?concluded:(int -> int -> bool) -> Compact.t -> int ->
   mid_sets
+(** Paths the source gains as the subject of other ASes' MAs: [x - y - z]
+    such that the MA between peers [y] and [z] gives [z] access to [x]
+    (i.e. [x] is a provider or peer of [y] and not a customer of [z]).
+    [concluded y z] (default: always true) restricts which MAs are
+    actually in force. *)
 
 val top_partners : Compact.t -> n:int -> int -> int list
-(** @raise Invalid_argument if [n < 0]. *)
+(** The [n] peers whose MA would directly give the source the most new
+    paths, best first (ties broken by index, i.e. by AS number).
+    @raise Invalid_argument if [n < 0]. *)
 
 val economic_paths : concluded:(int -> int -> bool) -> Compact.t -> int ->
   mid_sets
+(** Every length-3 path available to the source when only the MAs
+    selected by [concluded] are in force: the GRC baseline plus the
+    direct gains from the source's own concluded MAs plus the indirect
+    gains from other ASes' concluded MAs.  [scenario_paths c Ma_all] is
+    the special case [concluded = fun _ _ -> true]. *)
 
 val scenario_paths : Compact.t -> Path_enum.scenario -> int -> mid_sets
+(** Every length-3 path available to the source under the scenario (GRC
+    paths are always included — they remain available). *)
+
 val additional_paths : Compact.t -> Path_enum.scenario -> int -> mid_sets
+(** [scenario_paths] minus the GRC baseline. *)

@@ -81,21 +81,52 @@ let test_concluded_pairs_are_peers () =
 
 let test_economic_paths_bounds () =
   let g = Lazy.force small_graph in
-  let x = List.hd (Graph.ases g) in
+  let c = Compact.freeze g in
+  let index = Compact.index_of_exn c in
+  let x = index (List.hd (Graph.ases g)) in
   (* nothing concluded: exactly the GRC baseline *)
-  let none = Path_enum.economic_paths ~concluded:(fun _ _ -> false) g x in
+  let none =
+    Path_enum_compact.economic_paths ~concluded:(fun _ _ -> false) c x
+  in
   Alcotest.(check int) "no MAs = GRC"
-    (Path_enum.total_count (Path_enum.grc g x))
-    (Path_enum.total_count none);
+    (Path_enum_compact.total_count (Path_enum_compact.grc c x))
+    (Path_enum_compact.total_count none);
   (* everything concluded: exactly the Ma_all scenario *)
   List.iter
     (fun asn ->
-      let all = Path_enum.economic_paths ~concluded:(fun _ _ -> true) g asn in
+      let i = index asn in
+      let all =
+        Path_enum_compact.economic_paths ~concluded:(fun _ _ -> true) c i
+      in
       Alcotest.(check int) "all MAs = Ma_all scenario"
-        (Path_enum.total_count
-           (Path_enum.scenario_paths g Path_enum.Ma_all asn))
-        (Path_enum.total_count all))
+        (Path_enum_compact.total_count
+           (Path_enum_compact.scenario_paths c Path_enum.Ma_all i))
+        (Path_enum_compact.total_count all))
     (List.filteri (fun i _ -> i < 25) (Graph.ases g))
+
+(* Golden per-AS records of [result]: every sampled AS's path and
+   destination counts in sample order, as an MD5 of their rendering,
+   plus the negotiation totals. *)
+let test_golden_records () =
+  let r = Lazy.force result in
+  let records =
+    String.concat ";"
+      (List.map
+         (fun (pa : Adoption.per_as) ->
+           Printf.sprintf "%d:%d,%d,%d,%d,%d,%d" (Asn.to_int pa.Adoption.asn)
+             pa.Adoption.grc_paths pa.Adoption.economic_paths
+             pa.Adoption.all_ma_paths pa.Adoption.grc_dests
+             pa.Adoption.economic_dests pa.Adoption.all_ma_dests)
+         r.Adoption.sampled)
+  in
+  Alcotest.(check int) "pairs evaluated" 2057 r.Adoption.pairs_evaluated;
+  Alcotest.(check int) "concluded" 1165 (List.length r.Adoption.concluded);
+  Alcotest.(check string) "mean joint utility"
+    "0x1.92e61867c1166p+3"
+    (Printf.sprintf "%h" r.Adoption.mean_joint_utility);
+  Alcotest.(check string) "per-AS records"
+    "0467a4f6ed7d8790b9f4fb3d6d49b5e4"
+    (Digest.to_hex (Digest.string records))
 
 let suite =
   [
@@ -110,4 +141,5 @@ let suite =
       test_concluded_pairs_are_peers;
     Alcotest.test_case "economic_paths bounds" `Quick
       test_economic_paths_bounds;
+    Alcotest.test_case "golden: per-AS records" `Quick test_golden_records;
   ]

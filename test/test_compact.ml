@@ -1,11 +1,12 @@
 (* Tests for the compact frozen-topology core: Bitset laws against an
    Int-set reference model, Compact.freeze structural agreement with the
    Graph builder, and qcheck equivalence of the compact path algebra with
-   the legacy Path_enum on random generated topologies — the property
-   that lets every experiment driver run on the frozen core without
-   changing a single figure. *)
+   the ASN-set enumerator of the oracle library on random generated
+   topologies — the property that lets every experiment driver run on
+   the frozen core without changing a single figure. *)
 
 open Pan_topology
+module Legacy = Pan_oracle.Path_enum_legacy
 
 let asn = Asn.of_int
 
@@ -237,7 +238,7 @@ let qcheck_scenario_equivalence =
       let g = gen_graph ~n_transit:15 ~n_stub:50 seed in
       let c = Compact.freeze g in
       let scenarios =
-        Path_enum.[ Grc; Ma_all; Ma_direct_only; Ma_top 1; Ma_top 3 ]
+        Legacy.[ Grc; Ma_all; Ma_direct_only; Ma_top 1; Ma_top 3 ]
       in
       List.for_all
         (fun x ->
@@ -245,12 +246,12 @@ let qcheck_scenario_equivalence =
           List.for_all
             (fun s ->
               mid_sets_equal
-                (Path_enum.scenario_paths g s x)
-                (Path_enum_compact.to_mid_sets c
+                (Legacy.scenario_paths g s x)
+                (Legacy.to_mid_sets c
                    (Path_enum_compact.scenario_paths c s i))
               && mid_sets_equal
-                   (Path_enum.additional_paths g s x)
-                   (Path_enum_compact.to_mid_sets c
+                   (Legacy.additional_paths g s x)
+                   (Legacy.to_mid_sets c
                       (Path_enum_compact.additional_paths c s i)))
             scenarios)
         (Graph.ases g))
@@ -265,19 +266,19 @@ let qcheck_primitive_equivalence =
       List.for_all
         (fun x ->
           let i = Compact.index_of_exn c x in
-          mid_sets_equal (Path_enum.grc g x)
-            (Path_enum_compact.to_mid_sets c (Path_enum_compact.grc c i))
+          mid_sets_equal (Legacy.grc g x)
+            (Legacy.to_mid_sets c (Path_enum_compact.grc c i))
           && mid_sets_equal
-               (Path_enum.ma_direct g x)
-               (Path_enum_compact.to_mid_sets c
+               (Legacy.ma_direct g x)
+               (Legacy.to_mid_sets c
                   (Path_enum_compact.ma_direct c i))
           && mid_sets_equal
-               (Path_enum.ma_indirect g x)
-               (Path_enum_compact.to_mid_sets c
+               (Legacy.ma_indirect g x)
+               (Legacy.to_mid_sets c
                   (Path_enum_compact.ma_indirect c i))
           && mid_sets_equal
-               (Path_enum.by_destination (Path_enum.grc g x))
-               (Path_enum_compact.to_mid_sets c
+               (Legacy.by_destination (Legacy.grc g x))
+               (Legacy.to_mid_sets c
                   (Path_enum_compact.by_destination
                      (Path_enum_compact.grc c i))))
         (Graph.ases g))
@@ -307,13 +308,18 @@ let qcheck_concluded_equivalence =
             b
           in
           mid_sets_equal
-            (Path_enum.ma_indirect ~concluded:concluded_asn g x)
-            (Path_enum_compact.to_mid_sets c
+            (Legacy.ma_indirect ~concluded:concluded_asn g x)
+            (Legacy.to_mid_sets c
                (Path_enum_compact.ma_indirect ~concluded:concluded_idx c i))
           && mid_sets_equal
-               (Path_enum.ma_direct ~partners:partners_legacy g x)
-               (Path_enum_compact.to_mid_sets c
-                  (Path_enum_compact.ma_direct ~partners:partners_compact c i)))
+               (Legacy.ma_direct ~partners:partners_legacy g x)
+               (Legacy.to_mid_sets c
+                  (Path_enum_compact.ma_direct ~partners:partners_compact c i))
+          && mid_sets_equal
+               (Legacy.economic_paths ~concluded:concluded_asn g x)
+               (Legacy.to_mid_sets c
+                  (Path_enum_compact.economic_paths ~concluded:concluded_idx c
+                     i)))
         (Graph.ases g))
 
 let qcheck_top_partners_equivalence =
@@ -325,7 +331,7 @@ let qcheck_top_partners_equivalence =
       List.for_all
         (fun x ->
           let i = Compact.index_of_exn c x in
-          List.map Asn.to_int (Path_enum.top_partners g ~n x)
+          List.map Asn.to_int (Legacy.top_partners g ~n x)
           = List.map
               (fun j -> Asn.to_int (Compact.id c j))
               (Path_enum_compact.top_partners c ~n i))
@@ -340,8 +346,8 @@ let test_counts_on_fig1 () =
   Alcotest.(check int) "dest_set" 4
     (Bitset.cardinal (Path_enum_compact.dest_set m));
   check_equiv "fig1 D grc"
-    (Path_enum.grc g (Gen.fig1_asn 'D'))
-    (Path_enum_compact.to_mid_sets c m)
+    (Legacy.grc g (Gen.fig1_asn 'D'))
+    (Legacy.to_mid_sets c m)
 
 (* ------------------------------------------------------------------ *)
 (* Versioned binary snapshots                                          *)

@@ -116,15 +116,17 @@ let qcheck_ma_paths_authorized_only_with_ma =
       let no_ma = Authz.create ~core_transit:false g in
       let rng = Rng.create (seed + 1) in
       let ases = Array.of_list (Graph.ases g) in
+      let c = Compact.freeze g in
       let ok = ref true in
       for _ = 1 to 5 do
         let x = Rng.choose rng ases in
         let sample_paths = ref [] in
-        Path_enum.iter_paths
+        Path_enum_compact.iter_paths
           (fun ~mid ~dst ->
             if List.length !sample_paths < 5 then
-              sample_paths := (mid, dst) :: !sample_paths)
-          (Path_enum.ma_direct g x);
+              sample_paths :=
+                (Compact.id c mid, Compact.id c dst) :: !sample_paths)
+          (Path_enum_compact.ma_direct c (Compact.index_of_exn c x));
         List.iter
           (fun (mid, dst) ->
             let with_ma =

@@ -1,8 +1,8 @@
-(* The fast (unboxed, SoA) econ kernels against the reference
-   map-based oracle: qcheck equivalence over randomized scenarios and
-   decision vectors, degenerate cases, batch Nash helpers, and a
-   hex-float golden pinning the Reference optimizer output across the
-   kernel swap. *)
+(* The fast (unboxed, SoA) econ kernels against the map-based
+   Traffic_model evaluation: qcheck equivalence over randomized scenarios
+   and decision vectors, degenerate cases, batch Nash helpers, and a
+   hex-float golden pinning the optimizers to the map-based output from
+   before the kernel swap. *)
 
 open Pan_topology
 open Pan_numerics
@@ -248,13 +248,13 @@ let test_flows_sorted_arrays_roundtrip () =
     [ d 'A'; d 'B'; d 'F'; d 'H' ]
 
 (* ------------------------------------------------------------------ *)
-(* Golden: the Reference optimizer across the kernel swap              *)
+(* Golden: the optimizers across the kernel swap                       *)
 
-(* Captured from Flow_volume_opt.optimize ~kernel:Reference on
-   fig1_scenario BEFORE the fast kernel became the default (hex
-   literals: exact bytes).  The Reference path must still reproduce them
-   bit-for-bit; the Fast path must match it exactly (the kernels are
-   bit-identical, so the optimizer walks the same simplex). *)
+(* Captured from the map-based Flow_volume_opt.optimize and
+   Cash_opt.optimize on fig1_scenario BEFORE the fast kernel became the
+   default (hex literals: exact bytes).  The fast kernel must match them
+   exactly (it is bit-identical, so the optimizer walks the same
+   simplex). *)
 let golden_u_x = 0x1.62e158731b5dcp+2
 let golden_u_y = 0x1.429e31eb23a18p+2
 let golden_nash = 0x1.bf3abd8877a5cp+4
@@ -275,19 +275,15 @@ let check_fv_result (r : Flow_volume_opt.result) =
       check_bits "choice attracted" ga c.Traffic_model.attracted)
     golden_choices r.Flow_volume_opt.choices
 
-let test_golden_optimize_both_kernels () =
+let test_golden_optimize () =
   let _, s = Scenario_gen.fig1_scenario () in
-  check_fv_result (Flow_volume_opt.optimize ~kernel:Model_fast.Reference s);
-  check_fv_result (Flow_volume_opt.optimize ~kernel:Model_fast.Fast s);
+  check_fv_result (Flow_volume_opt.optimize s);
   let gx, gy, gt = golden_cash in
-  List.iter
-    (fun kernel ->
-      let c = Cash_opt.optimize ~kernel s in
-      Alcotest.(check bool) "cash concluded" true c.Cash_opt.concluded;
-      check_bits "cash u_x" gx c.Cash_opt.u_x;
-      check_bits "cash u_y" gy c.Cash_opt.u_y;
-      check_bits "cash transfer" gt c.Cash_opt.transfer)
-    [ Model_fast.Reference; Model_fast.Fast ]
+  let c = Cash_opt.optimize s in
+  Alcotest.(check bool) "cash concluded" true c.Cash_opt.concluded;
+  check_bits "cash u_x" gx c.Cash_opt.u_x;
+  check_bits "cash u_y" gy c.Cash_opt.u_y;
+  check_bits "cash transfer" gt c.Cash_opt.transfer
 
 let suite =
   [
@@ -309,5 +305,5 @@ let suite =
     Alcotest.test_case "Flows sorted-arrays round-trip" `Quick
       test_flows_sorted_arrays_roundtrip;
     Alcotest.test_case "golden: optimizers across kernels" `Quick
-      test_golden_optimize_both_kernels;
+      test_golden_optimize;
   ]

@@ -53,6 +53,24 @@ let test_chained_matches_extension_stats () =
         pa.Chained_exp.chained4_paths)
     r.Chained_exp.sampled
 
+(* Golden per-AS records: every sampled AS's counts in sample order, as
+   an MD5 of their rendering. *)
+let test_chained_golden () =
+  let r = Chained_exp.run ~sample_size:80 ~seed:5 (Lazy.force small_graph) in
+  let records =
+    String.concat ";"
+      (List.map
+         (fun (pa : Chained_exp.per_as) ->
+           Printf.sprintf "%d:%d,%d,%d,%d" (Asn.to_int pa.Chained_exp.asn)
+             pa.Chained_exp.ma3_paths pa.Chained_exp.chained4_paths
+             pa.Chained_exp.ma3_new_dests pa.Chained_exp.chained4_extra_dests)
+         r.Chained_exp.sampled)
+  in
+  Alcotest.(check int) "sampled" 80 (List.length r.Chained_exp.sampled);
+  Alcotest.(check string) "per-AS records"
+    "a3b01004549f3cafd9db7b3ba97fc807"
+    (Digest.to_hex (Digest.string records))
+
 let with_temp_dir f =
   let dir = Filename.temp_file "panagree" "" in
   Sys.remove dir;
@@ -133,6 +151,8 @@ let suite =
   [
     Alcotest.test_case "resilience shape" `Quick test_resilience_shape;
     Alcotest.test_case "chained shape" `Quick test_chained_shape;
+    Alcotest.test_case "chained golden: per-AS records" `Quick
+      test_chained_golden;
     Alcotest.test_case "chained matches Extension" `Quick
       test_chained_matches_extension_stats;
     Alcotest.test_case "csv escaping" `Quick test_export_csv_escaping;

@@ -26,6 +26,23 @@ let setup =
      in
      (g, adoption, authz))
 
+let frozen = lazy (let g, _, _ = Lazy.force setup in Compact.freeze g)
+
+(* The direct MA paths [x - mid - dst] the analysis enumerates for [x]
+   through [partners], as (mid, dst) ASN pairs in enumeration order. *)
+let ma_direct_paths ~partners x =
+  let c = Lazy.force frozen in
+  let index = Compact.index_of_exn c in
+  let partners =
+    Bitset.of_list ~width:(Compact.num_ases c)
+      (List.map index (Asn.Set.elements partners))
+  in
+  let acc = ref [] in
+  Path_enum_compact.iter_paths
+    (fun ~mid ~dst -> acc := (Compact.id c mid, Compact.id c dst) :: !acc)
+    (Path_enum_compact.ma_direct ~partners c (index x));
+  List.rev !acc
+
 let concluded_pred (adoption : Adoption.result) x y =
   List.exists
     (fun (a, b) ->
@@ -51,11 +68,11 @@ let test_dataplane_matches_analysis () =
       let x = pa.Adoption.asn in
       Asn.Set.iter
         (fun y ->
-          let sample = ref [] in
-          Path_enum.iter_paths
-            (fun ~mid ~dst ->
-              if List.length !sample < 3 then sample := (mid, dst) :: !sample)
-            (Path_enum.ma_direct ~partners:(Asn.Set.singleton y) g x);
+          let sample =
+            List.filteri
+              (fun i _ -> i < 3)
+              (ma_direct_paths ~partners:(Asn.Set.singleton y) x)
+          in
           List.iter
             (fun (mid, dst) ->
               let path = [ x; mid; dst ] in
@@ -75,7 +92,7 @@ let test_dataplane_matches_analysis () =
                   if concluded x y then
                     Alcotest.failf "concluded MA path refused (AS%d-AS%d)"
                       (Asn.to_int x) (Asn.to_int y))
-            !sample)
+            sample)
         (Graph.peers g x))
     (List.filteri (fun i _ -> i < 15) adoption.Adoption.sampled);
   Alcotest.(check bool) "exercised both outcomes" true
@@ -93,14 +110,14 @@ let test_economic_paths_match_dataplane_counts () =
       let partners =
         Asn.Set.filter (fun y -> concluded x y) (Graph.peers g x)
       in
-      Path_enum.iter_paths
-        (fun ~mid ~dst ->
+      List.iter
+        (fun (mid, dst) ->
           match Segment.make authz [ x; mid; dst ] with
           | Ok _ -> ()
           | Error _ ->
               Alcotest.failf "analysis path not authorized: AS%d-AS%d-AS%d"
                 (Asn.to_int x) (Asn.to_int mid) (Asn.to_int dst))
-        (Path_enum.ma_direct ~partners g x))
+        (ma_direct_paths ~partners x))
     (List.filteri (fun i _ -> i < 10) adoption.Adoption.sampled)
 
 let test_end_to_end_delivery_over_concluded_ma () =

@@ -194,7 +194,7 @@ let test_qualifier_oracle () =
           cands
       in
       let v = Nash_peering.qualify scores in
-      let o = Nash_peering.qualify_oracle scores in
+      let o = Pan_oracle.Qualify_reference.qualify_oracle scores in
       Alcotest.(check int)
         (Printf.sprintf "seed %d: verdict count" seed)
         (Array.length o) (Array.length v);

@@ -1,8 +1,11 @@
 (* Tests for length-3 path enumeration and MA path generation — the core
-   of the §VI analysis.  Hand-checked on the Fig. 1 topology plus
-   consistency properties on generated topologies. *)
+   of the §VI analysis — on the ASN-set enumerator of the oracle library,
+   which test_compact.ml pins the production Path_enum_compact to.
+   Hand-checked on the Fig. 1 topology plus consistency properties on
+   generated topologies. *)
 
 open Pan_topology
+module Legacy = Pan_oracle.Path_enum_legacy
 
 let a = Gen.fig1_asn
 let g = Gen.fig1 ()
@@ -21,7 +24,7 @@ let test_grc_fig1_d () =
      via peer C: customers F only
      via customer H: customers none
      => D-A-B, D-A-C, D-E-I, D-C-F *)
-  let got = mids_to_list (Path_enum.grc g (a 'D')) in
+  let got = mids_to_list (Legacy.grc g (a 'D')) in
   let expected =
     List.sort compare
       [
@@ -36,7 +39,7 @@ let test_grc_fig1_d () =
 let test_grc_fig1_h () =
   (* H's only neighbor is its provider D: H-D-{A,C,E} (peers+providers of D,
      exported to customer H) plus customers of D (none besides H). *)
-  let got = mids_to_list (Path_enum.grc g (a 'H')) in
+  let got = mids_to_list (Legacy.grc g (a 'H')) in
   let expected =
     List.sort compare
       (List.map
@@ -51,7 +54,7 @@ let test_ma_direct_fig1_d () =
      customers(D)={H}: {B, C, F}.
      MA with C gives providers(C)={} wait C is tier-1: providers(C)=∅,
      peers(C)\{D}={A,B,E}: {A, B, E}. *)
-  let got = mids_to_list (Path_enum.ma_direct g (a 'D')) in
+  let got = mids_to_list (Legacy.ma_direct g (a 'D')) in
   let expected =
     List.sort compare
       [
@@ -69,22 +72,22 @@ let test_ma_direct_excludes_own_customers () =
   (* E's MA with D would grant D's peers {C} (E excluded) and providers
      {A}; none of them are customers of E, but I (E's customer) must never
      appear as a via-D destination. *)
-  let m = Path_enum.ma_direct g (a 'E') in
-  let dests = Path_enum.dest_set m in
+  let m = Legacy.ma_direct g (a 'E') in
+  let dests = Legacy.dest_set m in
   Alcotest.(check bool) "I not an MA destination" false
     (Asn.Set.mem (a 'I') dests)
 
 let test_ma_direct_partner_restriction () =
   let only_e =
-    Path_enum.ma_direct ~partners:(Asn.Set.singleton (a 'E')) g (a 'D')
+    Legacy.ma_direct ~partners:(Asn.Set.singleton (a 'E')) g (a 'D')
   in
   Alcotest.(check int) "one mid" 1 (Asn.Map.cardinal only_e);
   Alcotest.(check bool) "mid is E" true (Asn.Map.mem (a 'E') only_e);
   (* restricting to a non-peer yields nothing *)
   let none =
-    Path_enum.ma_direct ~partners:(Asn.Set.singleton (a 'A')) g (a 'D')
+    Legacy.ma_direct ~partners:(Asn.Set.singleton (a 'A')) g (a 'D')
   in
-  Alcotest.(check int) "no paths via non-peer" 0 (Path_enum.total_count none)
+  Alcotest.(check int) "no paths via non-peer" 0 (Legacy.total_count none)
 
 let test_ma_indirect_fig1_b () =
   (* B gains B-E-D indirectly from MA(E, D) (B is E's provider, B not a
@@ -92,7 +95,7 @@ let test_ma_indirect_fig1_b () =
      A's peers are B, C: MA(A,C) gives C access to B, so B gains B-A-C;
      similarly B-C-A via MA(C,A); B-C-D via MA(C,D), B-C-E via MA(C,E),
      B-E-C via MA(E,C), B-E-F via MA(E,F). *)
-  let got = mids_to_list (Path_enum.ma_indirect g (a 'B')) in
+  let got = mids_to_list (Legacy.ma_indirect g (a 'B')) in
   let expect =
     List.sort compare
       [
@@ -111,8 +114,8 @@ let test_ma_and_grc_disjoint () =
   (* MA-added paths violate the GRC, so they can never coincide with GRC
      paths — on Fig. 1 and on a generated topology. *)
   let check_disjoint g x =
-    let grc = Path_enum.grc g x in
-    let ma = Path_enum.ma_direct g x in
+    let grc = Legacy.grc g x in
+    let ma = Legacy.ma_direct g x in
     Asn.Map.iter
       (fun mid zs ->
         match Asn.Map.find_opt mid grc with
@@ -132,60 +135,60 @@ let test_ma_and_grc_disjoint () =
 let test_ma_paths_are_grc_violations () =
   (* every direct MA path, seen as an AS path, violates valley-freeness *)
   let x = a 'D' in
-  Path_enum.iter_paths
+  Legacy.iter_paths
     (fun ~mid ~dst ->
       let p = Path.make_exn g [ x; mid; dst ] in
       Alcotest.(check bool) "MA path violates GRC" false
         (Path.is_valley_free g p))
-    (Path_enum.ma_direct g x)
+    (Legacy.ma_direct g x)
 
 let test_grc_paths_are_valley_free () =
   let check g x =
-    Path_enum.iter_paths
+    Legacy.iter_paths
       (fun ~mid ~dst ->
         let p = Path.make_exn g [ x; mid; dst ] in
         Alcotest.(check bool) "GRC path valley-free" true
           (Path.is_valley_free g p))
-      (Path_enum.grc g x)
+      (Legacy.grc g x)
   in
   List.iter (fun c -> check g (a c)) [ 'A'; 'D'; 'H' ]
 
 let test_counts_and_dests () =
-  let m = Path_enum.grc g (a 'D') in
-  Alcotest.(check int) "total count" 4 (Path_enum.total_count m);
+  let m = Legacy.grc g (a 'D') in
+  Alcotest.(check int) "total count" 4 (Legacy.total_count m);
   Alcotest.(check int) "distinct destinations" 4
-    (Asn.Set.cardinal (Path_enum.dest_set m))
+    (Asn.Set.cardinal (Legacy.dest_set m))
 
 let test_union_diff () =
-  let m1 = Path_enum.grc g (a 'D') in
-  let m2 = Path_enum.ma_direct g (a 'D') in
-  let u = Path_enum.union m1 m2 in
+  let m1 = Legacy.grc g (a 'D') in
+  let m2 = Legacy.ma_direct g (a 'D') in
+  let u = Legacy.union m1 m2 in
   Alcotest.(check int) "union counts add (disjoint)"
-    (Path_enum.total_count m1 + Path_enum.total_count m2)
-    (Path_enum.total_count u);
-  let d = Path_enum.diff u m1 in
-  Alcotest.(check int) "diff removes the base" (Path_enum.total_count m2)
-    (Path_enum.total_count d)
+    (Legacy.total_count m1 + Legacy.total_count m2)
+    (Legacy.total_count u);
+  let d = Legacy.diff u m1 in
+  Alcotest.(check int) "diff removes the base" (Legacy.total_count m2)
+    (Legacy.total_count d)
 
 let test_by_destination_inverts () =
-  let m = Path_enum.scenario_paths g Path_enum.Ma_all (a 'D') in
-  let inv = Path_enum.by_destination m in
-  Alcotest.(check int) "path count preserved" (Path_enum.total_count m)
-    (Path_enum.total_count inv);
+  let m = Legacy.scenario_paths g Legacy.Ma_all (a 'D') in
+  let inv = Legacy.by_destination m in
+  Alcotest.(check int) "path count preserved" (Legacy.total_count m)
+    (Legacy.total_count inv);
   (* spot-check: D-E-B appears as dest B with mid E *)
   match Asn.Map.find_opt (a 'B') inv with
   | None -> Alcotest.fail "destination B missing"
   | Some mids -> Alcotest.(check bool) "mid E" true (Asn.Set.mem (a 'E') mids)
 
 let test_top_partners () =
-  let top = Path_enum.top_partners g ~n:2 (a 'D') in
+  let top = Legacy.top_partners g ~n:2 (a 'D') in
   Alcotest.(check int) "two partners" 2 (List.length top);
   (* E yields 3 new paths, C yields 3; tie broken by AS number: C < E *)
   Alcotest.(check (list int)) "ranking"
     [ Asn.to_int (a 'C'); Asn.to_int (a 'E') ]
     (List.map Asn.to_int top);
   Alcotest.(check int) "n larger than peer count is capped" 2
-    (List.length (Path_enum.top_partners g ~n:10 (a 'D')))
+    (List.length (Legacy.top_partners g ~n:10 (a 'D')))
 
 let test_scenario_monotonicity () =
   (* GRC ⊆ Top1 ⊆ Top2 ⊆ ... ⊆ MA* ⊆ MA, pointwise in count, on a
@@ -195,14 +198,14 @@ let test_scenario_monotonicity () =
   in
   let g' = Gen.graph (Gen.generate ~params ~seed:3 ()) in
   let order =
-    Path_enum.
+    Legacy.
       [ Grc; Ma_top 1; Ma_top 2; Ma_top 5; Ma_direct_only; Ma_all ]
   in
   List.iter
     (fun x ->
       let counts =
         List.map
-          (fun s -> Path_enum.total_count (Path_enum.scenario_paths g' s x))
+          (fun s -> Legacy.total_count (Legacy.scenario_paths g' s x))
           order
       in
       let rec monotone = function
@@ -214,10 +217,10 @@ let test_scenario_monotonicity () =
     (Graph.ases g')
 
 let test_additional_paths () =
-  let add = Path_enum.additional_paths g Path_enum.Ma_direct_only (a 'D') in
-  Alcotest.(check int) "additional = MA direct" 6 (Path_enum.total_count add);
-  let none = Path_enum.additional_paths g Path_enum.Grc (a 'D') in
-  Alcotest.(check int) "GRC adds nothing" 0 (Path_enum.total_count none)
+  let add = Legacy.additional_paths g Legacy.Ma_direct_only (a 'D') in
+  Alcotest.(check int) "additional = MA direct" 6 (Legacy.total_count add);
+  let none = Legacy.additional_paths g Legacy.Grc (a 'D') in
+  Alcotest.(check int) "GRC adds nothing" 0 (Legacy.total_count none)
 
 let test_scenario_labels () =
   Alcotest.(check string) "grc" "GRC" (Path_enum.scenario_label Path_enum.Grc);
@@ -234,13 +237,13 @@ let qcheck_dest_set_bounded =
       let g = Gen.graph (Gen.generate ~params ~seed ()) in
       let scenario =
         List.nth
-          Path_enum.[ Grc; Ma_all; Ma_direct_only; Ma_top 1 ]
+          Legacy.[ Grc; Ma_all; Ma_direct_only; Ma_top 1 ]
           scenario_idx
       in
       List.for_all
         (fun x ->
-          let m = Path_enum.scenario_paths g scenario x in
-          Asn.Set.cardinal (Path_enum.dest_set m) <= Path_enum.total_count m)
+          let m = Legacy.scenario_paths g scenario x in
+          Asn.Set.cardinal (Legacy.dest_set m) <= Legacy.total_count m)
         (Graph.ases g))
 
 let suite =

@@ -560,7 +560,10 @@ let test_generated_events_applicable () =
   let e = Engine.create topo in
   List.iter
     (fun item -> ignore (Engine.apply e (Serve.event_of_item topo item) : int))
-    (gen_events ~seed:22 ~topo 200)
+    (gen_events ~seed:22 ~topo 200);
+  Alcotest.check_raises "negative length rejected"
+    (Invalid_argument "Stream.generate: requests < 0") (fun () ->
+      ignore (gen_events ~seed:22 ~topo (-5)))
 
 let suite =
   [
