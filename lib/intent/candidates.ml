@@ -7,55 +7,131 @@ module Obs = Pan_obs.Obs
 (* Paths are dense-index lists; order is (hops, then forward
    lexicographic on the index sequence), which makes the enumeration a
    pure function of the frozen view + restriction — no hashing, no
-   iteration-order dependence.  The BFS subroutine computes
-   distance-to-dst once per spur query and reconstructs the
-   lexicographically smallest minimum-hop path by always stepping to the
-   smallest-index neighbor one level closer to the destination. *)
+   iteration-order dependence.
 
-let link_key n i j = if i < j then (i * n) + j else (j * n) + i
+   A spur search is a FIFO BFS backwards from dst that stops the moment
+   it labels the spur node: FIFO order labels nodes level by level, so
+   by then every node closer to dst carries its final distance, which is
+   all the walk reads.  The walk reconstructs the lexicographically
+   smallest minimum-hop path by always stepping to the smallest-index
+   allowed neighbor one level closer to the destination.
 
-let shortest_path topo ~edge_ok ~blocked_nodes ~blocked_edges ~src ~dst =
+   All spur searches of one [k_shortest] call share one scratch, so a
+   search allocates only the path it returns.  Marks are stamped against
+   [base], which every search raises by [n]: [dist.(v) - base] is v's
+   distance iff [dist.(v) >= base], and v is blocked iff
+   [blocked.(v) >= base] — a root node of the current spur (stamped
+   [base]) or an AS the mask excludes (stamped [max_int]).  Every link a
+   Yen spur blocks starts at the spur, so the blocked links are kept as
+   the spur's forbidden next hops [avoid]. *)
+
+type scratch = {
+  topo : Compact.t;
+  dist : int array;
+  blocked : int array;
+  queue : int array;
+  down : (int * int) list;  (** the mask's excluded links, (lo, hi) *)
+  edge_ok : (int -> int -> bool) option;
+  mutable base : int;
+  mutable tail : int;
+  mutable spur : int;
+  mutable avoid : int list;
+  mutable cur : int;  (** node being expanded or walked from *)
+  mutable best : int;
+  relax : int -> unit;  (** BFS step from [cur] to a neighbor *)
+  pick : int -> unit;  (** walk step from [cur] to a neighbor *)
+}
+
+exception Labelled
+
+let rec link_mem (lo : int) (hi : int) = function
+  | [] -> false
+  | (a, b) :: tl -> (a = lo && b = hi) || link_mem lo hi tl
+
+let link_ok s u v =
+  (match s.down with
+  | [] -> true
+  | down -> not (if u < v then link_mem u v down else link_mem v u down))
+  && (if u = s.spur then not (List.mem v s.avoid)
+      else v <> s.spur || not (List.mem u s.avoid))
+  && match s.edge_ok with None -> true | Some f -> f u v
+
+let relax s v =
+  if s.dist.(v) < s.base && s.blocked.(v) < s.base && link_ok s s.cur v then (
+    s.dist.(v) <- s.dist.(s.cur) + 1;
+    if v = s.spur then raise_notrace Labelled;
+    s.queue.(s.tail) <- v;
+    s.tail <- s.tail + 1)
+
+(* Off dst, [dist.(cur) - 1 >= base]: a match is labelled, so unblocked *)
+let pick s v =
+  if
+    (s.best < 0 || v < s.best)
+    && s.dist.(v) = s.dist.(s.cur) - 1
+    && link_ok s s.cur v
+  then s.best <- v
+
+let scratch topo mask edge_ok =
   let n = Compact.num_ases topo in
-  let allowed i j =
-    edge_ok i j && not (Hashtbl.mem blocked_edges (link_key n i j))
+  let dist = Array.make n (-1) and blocked = Array.make n (-1) in
+  List.iter (fun v -> blocked.(v) <- max_int) (Compact.Mask.excluded_ases mask);
+  let rec s =
+    {
+      topo;
+      dist;
+      blocked;
+      queue = Array.make n 0;
+      down = Compact.Mask.excluded_links mask;
+      edge_ok;
+      base = -n;
+      tail = 0;
+      spur = -1;
+      avoid = [];
+      cur = -1;
+      best = -1;
+      relax = (fun v -> relax s v);
+      pick = (fun v -> pick s v);
+    }
   in
-  let dist = Array.make n (-1) in
-  let queue = Queue.create () in
-  if not (Bitset.mem blocked_nodes dst) then (
-    dist.(dst) <- 0;
-    Queue.add dst queue);
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    Compact.iter_neighbors topo u (fun v ->
-        if
-          dist.(v) < 0
-          && (not (Bitset.mem blocked_nodes v))
-          && allowed u v
-        then (
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v queue))
+  s
+
+(* The lex-smallest minimum-hop path from [p.(i)] to [dst] that avoids
+   the root nodes [p.(0) .. p.(i - 1)] and the spur's links to [avoid]. *)
+let shortest_path s p i ~avoid ~dst =
+  s.base <- s.base + Array.length s.dist;
+  let base = s.base in
+  for j = 0 to i - 1 do
+    s.blocked.(p.(j)) <- base
   done;
-  if src <> dst && (dist.(src) < 0 || Bitset.mem blocked_nodes src) then None
-  else if src = dst then
-    if Bitset.mem blocked_nodes src then None else Some [ src ]
+  let spur = p.(i) in
+  s.spur <- spur;
+  s.avoid <- avoid;
+  s.dist.(dst) <- base;
+  s.queue.(0) <- dst;
+  s.tail <- 1;
+  let head = ref 0 in
+  (if spur <> dst then
+     try
+       while !head < s.tail do
+         s.cur <- s.queue.(!head);
+         incr head;
+         Compact.iter_neighbors s.topo s.cur s.relax
+       done
+     with Labelled -> ());
+  if s.dist.(spur) < base then None
   else
-    let rec walk cur acc =
-      if cur = dst then List.rev (cur :: acc)
-      else
-        let best = ref (-1) in
-        Compact.iter_neighbors topo cur (fun v ->
-            if
-              dist.(v) = dist.(cur) - 1
-              && (not (Bitset.mem blocked_nodes v))
-              && allowed cur v
-              && (!best < 0 || v < !best)
-            then best := v);
-        (* dist was computed over exactly these edges, so a next hop
+    let rec walk u =
+      if u = dst then [ u ]
+      else (
+        s.cur <- u;
+        s.best <- -1;
+        Compact.iter_neighbors s.topo u s.pick;
+        (* the labels were set over exactly these links, so a next hop
            always exists *)
-        assert (!best >= 0);
-        walk !best (cur :: acc)
+        assert (s.best >= 0);
+        u :: walk s.best)
     in
-    Some (walk src [])
+    Some (walk spur)
 
 (* (hops, lex) total order on index paths *)
 let compare_paths p1 p2 =
@@ -73,26 +149,20 @@ let rec take_prefix k l =
   if k = 0 then []
   else match l with [] -> [] | x :: tl -> x :: take_prefix (k - 1) tl
 
-let k_shortest topo ?mask ?(edge_ok = fun _ _ -> true) ?max_hops ~src ~dst ~k
-    () =
+let k_shortest topo ?mask ?edge_ok ?max_hops ~src ~dst ~k () =
   if k < 1 then invalid_arg "Candidates.k_shortest: k must be >= 1";
   let n = Compact.num_ases topo in
   if src < 0 || src >= n || dst < 0 || dst >= n then
     invalid_arg "Candidates.k_shortest: endpoint outside [0, num_ases)";
   let mask = match mask with Some m -> m | None -> Compact.Mask.all topo in
-  let edge_ok i j = Compact.Mask.allows_link mask i j && edge_ok i j in
-  let node_ok i = Compact.Mask.allows_as mask i in
   let within_hops p =
     match max_hops with None -> true | Some h -> List.length p <= h
   in
-  if not (node_ok src && node_ok dst) then []
+  if not (Compact.Mask.allows_as mask src && Compact.Mask.allows_as mask dst)
+  then []
   else
-    let no_nodes = Bitset.create ~width:n in
-    let no_edges = Hashtbl.create 1 in
-    match
-      shortest_path topo ~edge_ok ~blocked_nodes:no_nodes
-        ~blocked_edges:no_edges ~src ~dst
-    with
+    let s = scratch topo mask edge_ok in
+    match shortest_path s [| src |] 0 ~avoid:[] ~dst with
     | None -> []
     | Some first when not (within_hops first) -> []
     | Some first ->
@@ -106,28 +176,20 @@ let k_shortest topo ?mask ?(edge_ok = fun _ _ -> true) ?max_hops ~src ~dst ~k
           let len = Array.length last_arr in
           (* One spur per position along the last accepted path. *)
           for i = 0 to len - 2 do
-            let spur = last_arr.(i) in
             let root = Array.sub last_arr 0 (i + 1) in
-            let blocked_edges = Hashtbl.create 8 in
-            List.iter
-              (fun p ->
-                let p_arr = Array.of_list p in
-                if
-                  Array.length p_arr > i + 1
-                  && Array.sub p_arr 0 (i + 1) = root
-                then
-                  Hashtbl.replace blocked_edges
-                    (link_key n p_arr.(i) p_arr.(i + 1))
-                    ())
-              !accepted;
-            let blocked_nodes = Bitset.create ~width:n in
-            Array.iteri
-              (fun j v -> if j < i then Bitset.unsafe_add blocked_nodes v)
-              root;
-            (match
-               shortest_path topo ~edge_ok ~blocked_nodes ~blocked_edges
-                 ~src:spur ~dst
-             with
+            (* next hops of the accepted paths that share this root *)
+            let avoid =
+              List.filter_map
+                (fun p ->
+                  let p_arr = Array.of_list p in
+                  if
+                    Array.length p_arr > i + 1
+                    && Array.sub p_arr 0 (i + 1) = root
+                  then Some p_arr.(i + 1)
+                  else None)
+                !accepted
+            in
+            match shortest_path s last_arr i ~avoid ~dst with
             | None -> ()
             | Some spur_path ->
                 let total = Array.to_list (Array.sub root 0 i) @ spur_path in
@@ -135,7 +197,7 @@ let k_shortest topo ?mask ?(edge_ok = fun _ _ -> true) ?max_hops ~src ~dst ~k
                   within_hops total
                   && (not (List.mem total !accepted))
                   && not (List.exists (fun p -> p = total) !frontier)
-                then frontier := insert_sorted total !frontier)
+                then frontier := insert_sorted total !frontier
           done;
           match !frontier with
           | [] -> continue := false

@@ -5,11 +5,15 @@
     {!Pan_topology.Compact} CSR: paths come out in a total order —
     AS-level hop count, then forward-lexicographic on the dense index
     sequence — making the result a pure function of the frozen view and
-    the restriction, byte-stable across runs and pool sizes.  The
-    shortest-path subroutine is an unweighted BFS that reconstructs the
-    lexicographically smallest minimum-hop path, and spur queries
-    restrict the subgraph with a {!Pan_topology.Compact.Mask} plus an
-    extra edge predicate (geo fences, required link attributes).
+    the restriction, byte-stable across runs and pool sizes.  Each spur
+    search is an unweighted BFS backwards from the destination that
+    stops as soon as it labels the spur node, then walks the
+    lexicographically smallest minimum-hop path from it.  All spur
+    searches of one call share one scratch (epoch-stamped distance
+    labels and blocked-node marks, one FIFO), so a search allocates only
+    the path it returns.  The subgraph is restricted by a
+    {!Pan_topology.Compact.Mask} plus an extra edge predicate (geo
+    fences, required link attributes).
 
     {!generate} drives it from an {!Intent.t}: the intent's exclusions
     compose onto a caller-supplied base mask (e.g. the service's
@@ -33,9 +37,11 @@ val k_shortest :
   int list list
 (** Up to [k] simple paths (dense indices, endpoints included) in
     (hops, lex) order; fewer when the restricted subgraph has fewer.
-    [edge_ok] is consulted with both endpoint orders' normalized pair
-    [(i, j)] as traversed; it must be symmetric.  [max_hops] bounds the
-    AS count per path.  [src = dst] yields [[[src]]].
+    [edge_ok i j] is asked whether the link between [i] and [j] may be
+    traversed, with the endpoints in either order, so it must be
+    symmetric; without it no predicate is called.  [max_hops] bounds the
+    AS count per path.  [src = dst] yields [[[src]]].  Allocates O(n)
+    scratch once per call, none per spur.
     @raise Invalid_argument if [k < 1] or an endpoint is out of range. *)
 
 type result = { path : Asn.t list; score : float; hops : int }

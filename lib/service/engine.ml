@@ -175,6 +175,20 @@ let query t ~src ~dst ~policy =
           push_key t.store_keys src (dst, policy);
           a)
 
+(* The normalized (lo, hi) dense links an intent answer's candidate
+   paths traverse, each once: the entry's key sits in exactly these
+   [ilinks] lists while it is cached. *)
+let intent_links topo results =
+  let rec links = function
+    | a :: (b :: _ as rest) ->
+        let i = Compact.index_of_exn topo a
+        and j = Compact.index_of_exn topo b in
+        (if i < j then (i, j) else (j, i)) :: links rest
+    | [ _ ] | [] -> []
+  in
+  List.sort_uniq compare
+    (List.concat_map (fun (r : Candidates.result) -> links r.path) results)
+
 let intent_query t ~src ~dst intent =
   check_index t src;
   check_index t dst;
@@ -198,20 +212,11 @@ let intent_query t ~src ~dst intent =
           in
           Hashtbl.replace t.istore key results;
           List.iter
-            (fun (r : Candidates.result) ->
-              let rec links = function
-                | a :: (b :: _ as rest) ->
-                    let i = Compact.index_of_exn t.topo a
-                    and j = Compact.index_of_exn t.topo b in
-                    let lk = if i < j then (i, j) else (j, i) in
-                    (match Hashtbl.find_opt t.ilinks lk with
-                    | Some l -> l := key :: !l
-                    | None -> Hashtbl.add t.ilinks lk (ref [ key ]));
-                    links rest
-                | [ _ ] | [] -> ()
-              in
-              links r.Candidates.path)
-            results;
+            (fun lk ->
+              match Hashtbl.find_opt t.ilinks lk with
+              | Some l -> l := key :: !l
+              | None -> Hashtbl.add t.ilinks lk (ref [ key ]))
+            (intent_links t.topo results);
           results)
 
 let intent_query_uncached t ~src ~dst intent =
@@ -377,15 +382,23 @@ let drop_intents t ev =
       match Hashtbl.find_opt t.ilinks lk with
       | None -> 0
       | Some keys ->
-          let dropped = ref 0 in
+          (* Every listed key is cached.  Dropping an entry unlists it from
+             every link its paths traverse, this one included, so a later
+             answer for the same key is never dropped for links only the
+             earlier answer used. *)
+          let keys = !keys in
           List.iter
             (fun k ->
-              if Hashtbl.mem t.istore k then (
-                Hashtbl.remove t.istore k;
-                incr dropped))
-            !keys;
-          Hashtbl.remove t.ilinks lk;
-          !dropped)
+              List.iter
+                (fun lk' ->
+                  let l = Hashtbl.find t.ilinks lk' in
+                  match List.filter (fun k' -> k' <> k) !l with
+                  | [] -> Hashtbl.remove t.ilinks lk'
+                  | rest -> l := rest)
+                (intent_links t.topo (Hashtbl.find t.istore k));
+              Hashtbl.remove t.istore k)
+            keys;
+          List.length keys)
 
 (* Batch intent invalidation: any link-up flushes the store (same
    argument as the single-event case — a new link can beat cached

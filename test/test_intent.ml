@@ -3,8 +3,10 @@
    - Compact.Mask semantics against hand-checked cases;
    - qcheck oracle: Yen-style k_shortest over the CSR equals brute-force
      enumeration of all simple paths sorted by (hops, lex) — including
-     masked subgraphs — which pins both completeness and the
-     deterministic tie-break;
+     masked subgraphs and a link predicate — which pins both
+     completeness and the deterministic tie-break;
+   - qcheck reference: on generated topologies of a few hundred ASes,
+     k_shortest equals the full-BFS Yen search kept in pan_oracle;
    - Intent parse/print canonical round-trip (qcheck) and parse-error
      line/column positions (unit);
    - qcheck facade equivalence: the refactored Scion.Selection is
@@ -17,6 +19,7 @@
 open Pan_topology
 open Pan_intent
 module Rng = Pan_numerics.Rng
+module Yen_reference = Pan_oracle.Yen_reference
 
 let asn = Asn.of_int
 
@@ -115,29 +118,41 @@ let brute_force topo ~node_ok ~edge_ok ~max_hops ~src ~dst =
 
 let take k l = List.filteri (fun i _ -> i < k) l
 
-let check_pair topo ?mask ~max_hops ~src ~dst k =
-  let node_ok, edge_ok =
+let show_paths ps =
+  String.concat " | "
+    (List.map (fun p -> String.concat "-" (List.map string_of_int p)) ps)
+
+let check_pair topo ?mask ?edge_ok ~max_hops ~src ~dst k =
+  let node_ok, mask_ok =
     match mask with
     | None -> ((fun _ -> true), fun _ _ -> true)
     | Some m -> (Compact.Mask.allows_as m, Compact.Mask.allows_link m)
   in
+  let extra_ok = Option.value edge_ok ~default:(fun _ _ -> true) in
+  let edge_ok' i j = mask_ok i j && extra_ok i j in
   let bound =
     match max_hops with Some h -> h | None -> Compact.num_ases topo
   in
   let expected =
-    take k (brute_force topo ~node_ok ~edge_ok ~max_hops:bound ~src ~dst)
+    take k
+      (brute_force topo ~node_ok ~edge_ok:edge_ok' ~max_hops:bound ~src ~dst)
   in
-  let got = Candidates.k_shortest topo ?mask ?max_hops ~src ~dst ~k () in
+  let got =
+    Candidates.k_shortest topo ?mask ?edge_ok ?max_hops ~src ~dst ~k ()
+  in
   if got <> expected then
     QCheck.Test.fail_reportf
       "k_shortest (src=%d dst=%d k=%d) = [%s], brute force = [%s]" src dst k
-      (String.concat " | "
-         (List.map (fun p -> String.concat "-" (List.map string_of_int p)) got))
-      (String.concat " | "
-         (List.map
-            (fun p -> String.concat "-" (List.map string_of_int p))
-            expected));
+      (show_paths got) (show_paths expected);
   true
+
+(* A symmetric link predicate that rejects about one link in [every],
+   standing in for geo fences and [require=] clauses. *)
+let symmetric_edge_ok rng ~every =
+  let salt = Rng.int rng 1_000_000 in
+  fun i j ->
+    let lo = min i j and hi = max i j in
+    Hashtbl.hash (lo, hi, salt) mod every <> 0
 
 let qcheck_yen_oracle =
   QCheck.Test.make ~count:60 ~name:"k_shortest = brute force (hops, lex)"
@@ -173,13 +188,78 @@ let qcheck_yen_oracle_masked =
           (Compact.Mask.exclude_as (Compact.Mask.all topo) blocked_as)
           la lb
       in
+      let edge_ok = symmetric_edge_ok rng ~every:4 in
       List.for_all Fun.id
         (List.concat_map
            (fun src ->
              List.map
-               (fun dst -> check_pair topo ~mask ~max_hops:None ~src ~dst 6)
+               (fun dst ->
+                 check_pair topo ~mask ~edge_ok ~max_hops:None ~src ~dst 6)
                (List.init n Fun.id))
            (List.init n Fun.id)))
+
+(* The brute force above only reaches 4-8 ASes, where the early exit of
+   a spur search and the scratch reuse across spurs barely matter.  On
+   generated topologies of a few hundred ASes (route-server hubs
+   included) the search must return exactly what the full-BFS reference
+   returns, under random masks, link predicates, hop bounds and K. *)
+let qcheck_yen_reference =
+  QCheck.Test.make ~count:40
+    ~name:"k_shortest = full-BFS reference on generated topologies"
+    QCheck.(int_range 1 10_000)
+    (fun seed ->
+      let params =
+        { Gen.default_params with Gen.n_transit = 40; Gen.n_stub = 250 }
+      in
+      let topo = Compact.freeze (Gen.graph (Gen.generate ~params ~seed ())) in
+      let n = Compact.num_ases topo in
+      let rng = Rng.create (seed * 5) in
+      let random_link m =
+        let a = Rng.int rng n in
+        let nbrs = ref [] in
+        Compact.iter_neighbors topo a (fun b -> nbrs := b :: !nbrs);
+        match !nbrs with
+        | [] -> m
+        | l ->
+            Compact.Mask.exclude_link m a
+              (List.nth l (Rng.int rng (List.length l)))
+      in
+      List.for_all
+        (fun k ->
+          let src = Rng.int rng n in
+          let dst = (src + 1 + Rng.int rng (n - 1)) mod n in
+          let mask = ref (Compact.Mask.all topo) in
+          for _ = 1 to Rng.int rng 4 do
+            mask := Compact.Mask.exclude_as !mask (Rng.int rng n)
+          done;
+          for _ = 1 to Rng.int rng 3 do
+            mask := random_link !mask
+          done;
+          (match Yen_reference.k_shortest topo ~src ~dst ~k:1 () with
+          | [ (_ :: _ :: _ as p) ] when Rng.bool rng ->
+              let p = Array.of_list p in
+              let j = Rng.int rng (Array.length p - 1) in
+              mask := Compact.Mask.exclude_link !mask p.(j) p.(j + 1)
+          | _ -> ());
+          let mask = !mask in
+          let edge_ok =
+            if Rng.bool rng then Some (symmetric_edge_ok rng ~every:6) else None
+          in
+          let max_hops =
+            if Rng.bool rng then Some (3 + Rng.int rng 5) else None
+          in
+          let expected =
+            Yen_reference.k_shortest topo ~mask ?edge_ok ?max_hops ~src ~dst
+              ~k ()
+          in
+          let got =
+            Candidates.k_shortest topo ~mask ?edge_ok ?max_hops ~src ~dst ~k ()
+          in
+          got = expected
+          || QCheck.Test.fail_reportf
+               "k_shortest (src=%d dst=%d k=%d) = [%s], reference = [%s]" src
+               dst k (show_paths got) (show_paths expected))
+        [ 1; 2; 5; 8; 16; 1; 2; 5; 8; 16 ])
 
 (* Re-running the enumeration must reproduce it bit-for-bit: it is a
    pure function of the frozen view (no hash-order dependence). *)
@@ -518,6 +598,7 @@ let suite =
     Alcotest.test_case "Compact.Mask semantics" `Quick test_mask_semantics;
     QCheck_alcotest.to_alcotest qcheck_yen_oracle;
     QCheck_alcotest.to_alcotest qcheck_yen_oracle_masked;
+    QCheck_alcotest.to_alcotest qcheck_yen_reference;
     QCheck_alcotest.to_alcotest qcheck_yen_deterministic;
     QCheck_alcotest.to_alcotest qcheck_intent_roundtrip;
     Alcotest.test_case "parse normalizes to canonical form" `Quick

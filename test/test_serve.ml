@@ -445,6 +445,58 @@ let test_transcript_rendering () =
   Alcotest.(check int) "events" 2 s.Engine.events;
   Alcotest.(check int) "invalidated" 2 s.Engine.invalidated
 
+(* A link-down drops exactly the intent entries whose cached paths
+   traverse the link: an entry re-cached on other paths after an earlier
+   drop survives the loss of a link only its first answer used. *)
+let test_intent_drop_exact () =
+  let g = Graph.create () in
+  List.iter
+    (fun (a, b) -> Graph.add_peering g (asn a) (asn b))
+    [ (1, 2); (2, 4); (1, 3); (3, 4) ];
+  let e = Engine.of_graph g in
+  let i x = Compact.index_of_exn (Engine.topology e) (asn x) in
+  let intent = Pan_intent.Intent.parse_exn "metric=hops; k=1" in
+  let ask () =
+    List.map
+      (fun r -> List.map Asn.to_int r.Pan_intent.Candidates.path)
+      (Engine.intent_query e ~src:(i 1) ~dst:(i 4) intent)
+  in
+  let down a b = Engine.apply e (Engine.Link_down (Engine.Peer (i a, i b))) in
+  let paths = Alcotest.(list (list int)) in
+  Alcotest.check paths "first answer" [ [ 1; 2; 4 ] ] (ask ());
+  Alcotest.(check int) "down 1-2 drops it" 1 (down 1 2);
+  Alcotest.check paths "re-cached answer" [ [ 1; 3; 4 ] ] (ask ());
+  Alcotest.(check int) "down 2-4 keeps it" 0 (down 2 4);
+  Alcotest.check paths "still cached" [ [ 1; 3; 4 ] ] (ask ());
+  Alcotest.(check int) "served from the store" 1
+    (Engine.stats e).Engine.store_hits;
+  Alcotest.(check int) "down 3-4 drops it" 1 (down 3 4)
+
+(* Bench part 12's smoke drain, whose fingerprint BENCH_intent.json
+   records: an all-intent K = 8 stream under 2% churn on the 1k-AS
+   graph. *)
+let test_intent_drain_golden () =
+  let topo =
+    Compact.freeze (gen_graph ~n_transit:60 ~n_stub:928 42)
+  in
+  let k8 =
+    Pan_intent.Intent.(
+      make
+        ~metric:
+          [
+            { weight = 1.0; component = Nlatency };
+            { weight = 1.0; component = Nbandwidth };
+          ]
+        ~k:8 ())
+  in
+  let stream =
+    Stream.generate ~intent:k8 ~rng:(Rng.create 44) ~topo ~requests:1500
+      ~churn:0.02 ()
+  in
+  let out = Serve.run ~mode:Engine.Incremental ~topo stream in
+  Alcotest.(check string) "fingerprint" "952c05c6aebe80889bd8f05d7f0f0238"
+    out.Serve.fingerprint
+
 (* ------------------------------------------------------------------ *)
 (* Serve.run determinism: pool sizes and injected faults               *)
 
@@ -584,6 +636,10 @@ let suite =
       test_hand_answers;
     Alcotest.test_case "transcript rendering + oracle" `Quick
       test_transcript_rendering;
+    Alcotest.test_case "intent link-down drops exactly" `Quick
+      test_intent_drop_exact;
+    Alcotest.test_case "intent drain = BENCH_intent.json" `Quick
+      test_intent_drain_golden;
     Alcotest.test_case "Serve.run -j1 = -j4" `Quick test_serve_jobs_equal;
     Alcotest.test_case "Serve.run faults+retries byte-identical" `Quick
       test_serve_faults_equal;
