@@ -52,10 +52,11 @@
 
    Part 11 measures the resident path-query service (lib/service):
    sustained queries/sec and per-query latency percentiles under link
-   churn, the incremental-freeze drain vs the full re-freeze oracle,
-   verifying byte-identical transcripts between the two modes and
-   between -j1 and -j4, and emitting BENCH_serve.json
-   (`main.exe serve[-smoke]`, `make bench-serve`).
+   churn, the incremental-freeze drain vs the re-freeze oracle (which
+   thaws, edits and re-freezes per event), verifying byte-identical
+   transcripts between the two modes and between -j1 and -j4, and
+   emitting BENCH_serve.json (`main.exe serve[-smoke]`,
+   `make bench-serve`).
 
    Part 12 measures the intent engine (lib/intent): K-shortest candidate
    generation throughput over the compact core across K = 1..32,
@@ -90,7 +91,7 @@
    `make bench-bosco`); `main.exe bosco-smoke` caps Part 7 at W = 128
    (used by CI); both emit BENCH_bosco.json; `main.exe econ[-smoke]`
    runs Part 9 (60/24 scenarios); `main.exe faults` runs only Part 8
-   (used by CI and `make bench-faults`).  The bosco, econ,
+   (used by CI and `make bench-faults`).  The topo, bosco, econ,
    topo-snapshot and faults parts exit non-zero on any fingerprint or
    determinism mismatch. *)
 
@@ -570,7 +571,7 @@ let compact_core_bench sizes =
   let module Legacy = Pan_oracle.Path_enum_legacy in
   Format.fprintf fmt "%-6s %7s %11s %11s %12s %9s  %s@." "size" "srcs"
     "freeze (s)" "legacy (s)" "compact (s)" "speedup" "equal";
-  List.iter
+  List.for_all
     (fun (label, n_transit, n_stub, sample) ->
       let params = { Gen.default_params with Gen.n_transit; Gen.n_stub } in
       let g = Gen.graph (Gen.generate ~params ~seed:42 ()) in
@@ -603,7 +604,8 @@ let compact_core_bench sizes =
       in
       Format.fprintf fmt "%-6s %7d %11.3f %11.3f %12.3f %8.2fx  %b@." label
         (List.length sources) t_freeze t_legacy t_compact
-        (t_legacy /. t_compact) (legacy = compact))
+        (t_legacy /. t_compact) (legacy = compact);
+      legacy = compact)
     sizes
 
 let compact_jobs_check ~n_transit ~n_stub () =
@@ -624,13 +626,18 @@ let compact_jobs_check ~n_transit ~n_stub () =
   in
   Format.fprintf fmt
     "sequential %.3f s, 4 domains %.3f s (%.2fx); identical: %b@." t_seq t_par
-    (t_seq /. t_par) (seq = par)
+    (t_seq /. t_par) (seq = par);
+  seq = par
 
+(* Both sections always run; the part fails if either check does. *)
 let run_compact_core scale =
-  compact_core_bench (compact_sizes scale);
-  match scale with
-  | `Smoke -> compact_jobs_check ~n_transit:60 ~n_stub:928 ()
-  | `Full -> compact_jobs_check ~n_transit:500 ~n_stub:9488 ()
+  let equal = compact_core_bench (compact_sizes scale) in
+  let identical =
+    match scale with
+    | `Smoke -> compact_jobs_check ~n_transit:60 ~n_stub:928 ()
+    | `Full -> compact_jobs_check ~n_transit:500 ~n_stub:9488 ()
+  in
+  equal && identical
 
 (* ------------------------------------------------------------------ *)
 (* Part 7: BOSCO best-response kernel (lib/bosco Strategy/Workspace)   *)
@@ -1329,7 +1336,7 @@ let full_run () =
   ablation_asymmetric_distributions ();
   ablation_topology_density ();
   runner_scaling ();
-  run_compact_core `Smoke;
+  ignore (run_compact_core `Smoke : bool);
   ignore (run_bosco `Smoke : bool);
   ignore (run_econ ~scenarios:24 () : bool);
   ignore (run_topo_snapshot `Smoke : bool);
@@ -1345,8 +1352,8 @@ let full_run () =
 let () =
   (match if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" with
   | "all" -> full_run ()
-  | "topo" -> run_compact_core `Smoke
-  | "topo-full" -> run_compact_core `Full
+  | "topo" -> if not (run_compact_core `Smoke) then exit 1
+  | "topo-full" -> if not (run_compact_core `Full) then exit 1
   | "topo-snapshot" -> if not (run_topo_snapshot `Full) then exit 1
   | "topo-snapshot-smoke" -> if not (run_topo_snapshot `Smoke) then exit 1
   | "bosco" -> if not (run_bosco `Full) then exit 1

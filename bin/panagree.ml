@@ -585,24 +585,6 @@ let serve_cmd =
     in
     Arg.(value & opt probability 0.05 & info [ "churn" ] ~doc ~docv:"P")
   in
-  let mode_arg =
-    let doc =
-      "Topology update strategy under churn: $(b,incremental) splices \
-       the frozen CSR core per event (the incremental freeze), \
-       $(b,refreeze) rebuilds it from scratch per event (the oracle \
-       path)."
-    in
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("incremental", Engine.Incremental);
-               ("refreeze", Engine.Refreeze);
-             ])
-          Engine.Incremental
-      & info [ "mode" ] ~doc)
-  in
   let oracle_arg =
     let doc =
       "Shadow every event with a full re-freeze engine and fail loudly \
@@ -622,7 +604,7 @@ let serve_cmd =
       value & opt (some intent_conv) None & info [ "intent" ] ~doc ~docv:"SPEC")
   in
   let run caida transit stubs seed ctx snapshot stream intent requests churn
-      mode oracle =
+      oracle =
     with_run ctx @@ fun ~pool ~retries ~deadline ->
     let outcome =
       or_exit @@ fun () ->
@@ -641,7 +623,8 @@ let serve_cmd =
               (seed + 2) requests churn;
             s
       in
-      Serve.run ~pool ~retries ?deadline ~oracle ~mode ~topo items
+      Serve.run ~pool ~retries ?deadline ~oracle ~mode:Engine.Incremental
+        ~topo items
     in
     Format.fprintf fmt "%s" outcome.Serve.transcript;
     let s = outcome.Serve.stats in
@@ -661,7 +644,7 @@ let serve_cmd =
     Term.(
       const run $ caida_arg $ transit_arg $ stub_arg $ seed_arg $ run_term
       $ snapshot_arg $ stream_arg $ intent_arg $ requests_arg $ churn_arg
-      $ mode_arg $ oracle_arg)
+      $ oracle_arg)
 
 (* ------------------------------------------------------------------ *)
 (* market: concurrent MA negotiation marketplace (lib/market)          *)

@@ -126,7 +126,7 @@ let run ?pool ?retries ?deadline ?(oracle = false) ?(mechanism = Bosco) config
     g =
   check_config config;
   Obs.with_span "market/run" @@ fun () ->
-  let engine = Engine.of_graph ~mode:Engine.Incremental g in
+  let engine = Engine.create (Compact.freeze g) in
   (* Private mutable link state: scenario construction reads it, signed
      agreements mutate it, and the oracle re-freezes it from scratch. *)
   let graph = Graph.copy g in

@@ -32,7 +32,6 @@ type istore_key = int * int * string
 type t = {
   mode : mode;
   mutable topo : Compact.t;
-  mirror : Graph.t;
   mids : (mid_key, Path_enum_compact.mid_sets) Hashtbl.t;
   mid_keys : (int, Path_enum.scenario list ref) Hashtbl.t;
   store : (store_key, int list) Hashtbl.t;
@@ -50,7 +49,6 @@ type t = {
   mutable invalidated : int;
 }
 
-let mode t = t.mode
 let topology t = t.topo
 
 let stats t =
@@ -62,20 +60,18 @@ let stats t =
     invalidated = t.invalidated;
   }
 
-let default_geo_seed = 43
-
 (* Metric environment for intent scoring, pinned to the creation-time
-   frozen view: a deterministic synthetic geo embedding and degree-
-   gravity capacities from creation-time degrees.  Pinning makes scores
-   a static endowment — a link flipping elsewhere does not change
+   frozen view: a deterministic synthetic geo embedding (seed 43) and
+   degree-gravity capacities from creation-time degrees.  Pinning makes
+   scores a static endowment — a link flipping elsewhere does not change
    another link's capacity — so churn invalidates cached intent answers
    only through the path {e set}, never through re-scoring (DESIGN
    §6g).  Links added by churn (absent from the embedding) fall back to
    the endpoint-midpoint interconnection location and the same
    degree-gravity product. *)
-let intent_ctx ~geo_seed topo =
+let intent_ctx topo =
   lazy
-    (let geo = Geo.of_compact ~seed:geo_seed topo in
+    (let geo = Geo.of_compact ~seed:43 topo in
      let as_location = Geo.as_location geo in
      let link_location a b =
        try Geo.link_location geo a b
@@ -94,18 +90,17 @@ let intent_ctx ~geo_seed topo =
      in
      { Metric.as_location; link_location; link_capacity })
 
-let make ?(geo_seed = default_geo_seed) mode topo mirror =
+let create ?(mode = Incremental) topo =
   {
     mode;
     topo;
-    mirror;
     mids = Hashtbl.create 256;
     mid_keys = Hashtbl.create 256;
     store = Hashtbl.create 1024;
     store_keys = Hashtbl.create 256;
     istore = Hashtbl.create 256;
     ilinks = Hashtbl.create 256;
-    ictx = intent_ctx ~geo_seed topo;
+    ictx = intent_ctx topo;
     queries = 0;
     store_hits = 0;
     store_misses = 0;
@@ -113,17 +108,11 @@ let make ?(geo_seed = default_geo_seed) mode topo mirror =
     invalidated = 0;
   }
 
-let create ?(mode = Incremental) ?geo_seed topo =
-  make ?geo_seed mode topo (Compact.thaw topo)
-
-let of_graph ?(mode = Incremental) ?geo_seed g =
-  make ?geo_seed mode (Compact.freeze g) (Graph.copy g)
-
 let err fmt = Printf.ksprintf invalid_arg ("Engine." ^^ fmt)
 
-let check_index t i =
+let check_index name t i =
   if i < 0 || i >= Compact.num_ases t.topo then
-    err "apply: index %d outside [0, %d)" i (Compact.num_ases t.topo)
+    err "%s: index %d outside [0, %d)" name i (Compact.num_ases t.topo)
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -152,13 +141,13 @@ let answer_of_mids mids dst =
   List.rev !acc
 
 let query_uncached t ~src ~dst ~policy =
-  check_index t src;
-  check_index t dst;
+  check_index "query_uncached" t src;
+  check_index "query_uncached" t dst;
   answer_of_mids (compute_mids t.topo src policy) dst
 
 let query t ~src ~dst ~policy =
-  check_index t src;
-  check_index t dst;
+  check_index "query" t src;
+  check_index "query" t dst;
   t.queries <- t.queries + 1;
   Obs.incr "serve.queries";
   Obs.time "serve.query" (fun () ->
@@ -190,8 +179,8 @@ let intent_links topo results =
     (List.concat_map (fun (r : Candidates.result) -> links r.path) results)
 
 let intent_query t ~src ~dst intent =
-  check_index t src;
-  check_index t dst;
+  check_index "intent_query" t src;
+  check_index "intent_query" t dst;
   if src = dst then err "intent_query: src = dst (index %d)" src;
   t.queries <- t.queries + 1;
   Obs.incr "serve.queries";
@@ -220,9 +209,9 @@ let intent_query t ~src ~dst intent =
           results)
 
 let intent_query_uncached t ~src ~dst intent =
-  check_index t src;
-  check_index t dst;
-  if src = dst then err "intent_query: src = dst (index %d)" src;
+  check_index "intent_query_uncached" t src;
+  check_index "intent_query_uncached" t dst;
+  if src = dst then err "intent_query_uncached: src = dst (index %d)" src;
   Candidates.generate ~topo:t.topo ~metric:(Lazy.force t.ictx) intent
     ~src:(Compact.id t.topo src) ~dst:(Compact.id t.topo dst)
 
@@ -262,8 +251,8 @@ let prefill ?pool ?retries ?deadline t pairs =
 let pp_as t i = Printf.sprintf "AS%d" (Asn.to_int (Compact.id t.topo i))
 
 let check_endpoints t i j =
-  check_index t i;
-  check_index t j;
+  check_index "apply" t i;
+  check_index "apply" t j;
   if i = j then err "apply: self-link on %s" (pp_as t i)
 
 (* Per-pair link state during batch validation: later events of a batch
@@ -342,17 +331,23 @@ let drop_memos t affected =
     affected;
   !dropped
 
-let mutate_mirror t ev =
-  let asn i = Compact.id t.topo i in
-  match ev with
-  | Link_up (Peer (i, j)) -> Graph.add_peering t.mirror (asn i) (asn j)
-  | Link_down (Peer (i, j)) -> Graph.remove_peering t.mirror (asn i) (asn j)
-  | Link_up (Transit { provider; customer }) ->
-      Graph.add_provider_customer t.mirror ~provider:(asn provider)
-        ~customer:(asn customer)
-  | Link_down (Transit { provider; customer }) ->
-      Graph.remove_provider_customer t.mirror ~provider:(asn provider)
-        ~customer:(asn customer)
+(* The re-freeze oracle's view after a batch: the thawed pre-batch
+   core with the events applied in order, frozen from scratch. *)
+let refreeze topo evs =
+  let g = Compact.thaw topo in
+  let asn i = Compact.id topo i in
+  List.iter
+    (function
+      | Link_up (Peer (i, j)) -> Graph.add_peering g (asn i) (asn j)
+      | Link_down (Peer (i, j)) -> Graph.remove_peering g (asn i) (asn j)
+      | Link_up (Transit { provider; customer }) ->
+          Graph.add_provider_customer g ~provider:(asn provider)
+            ~customer:(asn customer)
+      | Link_down (Transit { provider; customer }) ->
+          Graph.remove_provider_customer g ~provider:(asn provider)
+            ~customer:(asn customer))
+    evs;
+  Compact.freeze g
 
 let edit_of_event = function
   | Link_up (Peer (i, j)) -> Compact.Delta.Add_peering (i, j)
@@ -417,16 +412,15 @@ let apply_batch t evs =
   | [] -> 0
   | _ ->
       (* Validate the whole batch first (sequential semantics via the
-         overlay): on error nothing — mirror included — has mutated. *)
+         overlay): on error nothing has mutated. *)
       let overlay = Hashtbl.create 16 in
       List.iter (check_applicable t overlay) evs;
       let before = t.topo in
-      List.iter (mutate_mirror t) evs;
       let after =
         match t.mode with
         | Incremental ->
             Compact.Delta.apply_batch before (List.map edit_of_event evs)
-        | Refreeze -> Compact.freeze t.mirror
+        | Refreeze -> refreeze before evs
       in
       t.topo <- after;
       (* Union of per-event affected sources.  Every source whose

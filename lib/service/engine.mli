@@ -21,11 +21,13 @@
 
     Two {!mode}s update the topology: [Incremental] splices the CSR
     adjacency through {!Pan_topology.Compact.Delta} (the incremental
-    freeze), [Refreeze] rebuilds it with a full
-    {!Pan_topology.Compact.freeze} of the mutable mirror.  Both maintain
-    the same answers; [Refreeze] is the correctness oracle the
-    incremental path is tested against, byte-for-byte via
-    {!Pan_topology.Compact.Snapshot.to_string}.
+    freeze), [Refreeze] thaws the pre-batch view, applies the events to
+    the {!Graph.t} and re-freezes it from scratch.  Both maintain the
+    same answers; [Refreeze] is the correctness oracle the incremental
+    path is tested against, byte-for-byte via
+    {!Pan_topology.Compact.Snapshot.to_string}.  Neither keeps a
+    mutable graph between events: the engine holds only the frozen
+    view and its memo tables.
 
     When {!Pan_obs.Obs} is configured the engine records [serve.queries],
     [serve.store_hits], [serve.store_misses], [serve.events],
@@ -41,8 +43,10 @@ type link =
 type event = Link_up of link | Link_down of link
 
 type mode =
-  | Incremental  (** CSR splice per event ({!Compact.Delta}) *)
-  | Refreeze  (** full {!Compact.freeze} per event — the oracle *)
+  | Incremental  (** CSR splice per batch ({!Compact.Delta}) *)
+  | Refreeze
+      (** {!Compact.freeze} of the thawed, edited view per batch — the
+          oracle *)
 
 type stats = {
   queries : int;
@@ -54,19 +58,13 @@ type stats = {
 
 type t
 
-val create : ?mode:mode -> ?geo_seed:int -> Compact.t -> t
+val create : ?mode:mode -> Compact.t -> t
 (** Start an engine on a frozen topology ([mode] defaults to
-    [Incremental]).  The mutable {!Graph.t} mirror is rebuilt with
-    {!Compact.thaw}, so snapshot-loaded topologies work unchanged.
-    [geo_seed] (default 43) seeds the synthetic geo embedding of the
-    intent metric environment; it is forced lazily on the first
-    {!intent_query}, so engines serving only policy queries never build
-    it. *)
-
-val of_graph : ?mode:mode -> ?geo_seed:int -> Graph.t -> t
-(** [create (Compact.freeze g)] with the mirror copied from [g]. *)
-
-val mode : t -> mode
+    [Incremental]); snapshot-loaded topologies work unchanged, and a
+    {!Graph.t} is served as [create (Compact.freeze g)].  The intent
+    metric environment (a synthetic geo embedding, seed 43) is built
+    lazily on the first {!intent_query}, so engines serving only policy
+    queries never build it. *)
 
 val topology : t -> Compact.t
 (** The {e current} frozen view — a new value after every event. *)
@@ -78,7 +76,9 @@ val query : t -> src:int -> dst:int -> policy:Path_enum.scenario -> int list
     under [policy], ascending; for a fixed pair each mid is one path, so
     the path count is the list length.  Served from the store when
     possible.
-    @raise Invalid_argument on an out-of-range index. *)
+    @raise Invalid_argument on an out-of-range index; the message names
+    the entry point ([Engine.query: index 9 outside [0, 5)]), as for
+    every query function below. *)
 
 val query_uncached :
   t -> src:int -> dst:int -> policy:Path_enum.scenario -> int list
@@ -90,7 +90,7 @@ val intent_query :
 (** Ranked K-shortest candidates for an intent over the {e current}
     topology, memoized under [(src, dst, canonical spec)].  Scoring uses
     a metric environment pinned to the creation-time topology (synthetic
-    geo embedding from [geo_seed], degree-gravity capacities from
+    geo embedding from seed 43, degree-gravity capacities from
     creation-time degrees; churn-added links fall back to endpoint
     midpoints and the same degree product), so cached answers are
     invalidated by path-set changes only: a link-down drops exactly the
@@ -119,10 +119,10 @@ val prefill :
     size, including none. *)
 
 val apply : t -> event -> int
-(** Apply one churn event: mutate the mirror, update the frozen view
-    (per {!mode}), drop affected memo entries.  Returns the number of
-    path-store entries invalidated.  Equivalent to [apply_batch t [ev]]
-    (and implemented as such).
+(** Apply one churn event: update the frozen view (per {!mode}), drop
+    affected memo entries.  Returns the number of path-store entries
+    invalidated.  Equivalent to [apply_batch t [ev]] (and implemented as
+    such).
     @raise Invalid_argument if the event is not applicable: link already
     present on [Link_up], absent (or of the other class) on [Link_down],
     out-of-range index, or self-link. *)
@@ -132,12 +132,12 @@ val apply_batch : t -> event list -> int
     {!apply} left-to-right — later events see the effect of earlier
     ones, and the resulting topology and memo state are identical — but
     in one pass: one {!Compact.Delta.apply_batch} CSR splice
-    ([Incremental]) or one {!Compact.freeze} ([Refreeze]) for the whole
-    batch, and one memo-invalidation sweep over the union of affected
-    sources.  The marketplace epoch loop applies each epoch's signed
-    agreements this way.  Returns the total number of store entries
-    invalidated.  Unlike the sequential fold, validation of the whole
-    batch happens {e before} any mutation: on raise, the engine is
-    unchanged.
+    ([Incremental]) or one thaw, edit and {!Compact.freeze}
+    ([Refreeze]) for the whole batch, and one memo-invalidation sweep
+    over the union of affected sources.  The marketplace epoch loop
+    applies each epoch's signed agreements this way.  Returns the total
+    number of store entries invalidated.  Unlike the sequential fold,
+    validation of the whole batch happens {e before} any mutation: on
+    raise, the engine is unchanged.
     @raise Invalid_argument as {!apply}, against the state left by the
     earlier events of the batch. *)

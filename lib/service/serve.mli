@@ -12,8 +12,9 @@
     down.
 
     With [oracle:true] a second [Refreeze] engine shadows the primary:
-    after every event the two frozen views are compared byte-for-byte
-    ({!Pan_topology.Compact.Snapshot.to_string}) and a divergence raises
+    after every event it re-freezes the thawed pre-event view with the
+    event applied, the two frozen views are compared byte-for-byte
+    ({!Pan_topology.Compact.Snapshot.to_string}), and a divergence raises
     [Failure] — the incremental freeze is never silently wrong in a
     resident process.
 

@@ -160,7 +160,7 @@ let thaw t =
   g
 
 (* ------------------------------------------------------------------ *)
-(* Incremental freeze: single-link CSR splices                         *)
+(* Incremental freeze: batch CSR splices                               *)
 
 module Delta = struct
   let err name fmt =
@@ -177,91 +177,11 @@ module Delta = struct
     check_index name t j;
     if i = j then err name "self-link on AS%d" (Asn.to_int t.ids.(i))
 
-  (* Global [adj] position where [v] belongs in row [i] (first element
-     >= v), found by binary search — rows are sorted ascending. *)
-  let row_lower_bound off adj i v =
-    let lo = ref off.(i) and hi = ref off.(i + 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if adj.(mid) < v then lo := mid + 1 else hi := mid
-    done;
-    !lo
-
-  (* Splice [v] into row [row]: one fresh (off, adj) pair, two blits.
-     Rows other than [row] keep their contents at shifted offsets; the
-     other two relationship classes are shared untouched by the
-     caller. *)
-  let insert off adj row v =
-    let pos = row_lower_bound off adj row v in
-    let n = Array.length adj in
-    let adj' = Array.make (n + 1) 0 in
-    Array.blit adj 0 adj' 0 pos;
-    adj'.(pos) <- v;
-    Array.blit adj pos adj' (pos + 1) (n - pos);
-    let off' = Array.mapi (fun k x -> if k > row then x + 1 else x) off in
-    (off', adj')
-
-  let remove off adj row v =
-    let pos = row_lower_bound off adj row v in
-    let n = Array.length adj in
-    let adj' = Array.make (n - 1) 0 in
-    Array.blit adj 0 adj' 0 pos;
-    Array.blit adj (pos + 1) adj' pos (n - pos - 1);
-    let off' = Array.mapi (fun k x -> if k > row then x - 1 else x) off in
-    (off', adj')
-
-  let check_unconnected name t i j =
-    if connected t i j then
-      err name "AS%d and AS%d are already linked" (Asn.to_int t.ids.(i))
-        (Asn.to_int t.ids.(j))
-
-  let add_peering t i j =
-    let name = "add_peering" in
-    check_endpoints name t i j;
-    check_unconnected name t i j;
-    let peer_off, peer_adj = insert t.peer_off t.peer_adj i j in
-    let peer_off, peer_adj = insert peer_off peer_adj j i in
-    Obs.incr "topology.delta.add";
-    { t with peer_off; peer_adj; n_p2p = t.n_p2p + 1 }
-
-  let remove_peering t i j =
-    let name = "remove_peering" in
-    check_endpoints name t i j;
-    if not (mem_peer t i j) then
-      err name "AS%d and AS%d are not peers" (Asn.to_int t.ids.(i))
-        (Asn.to_int t.ids.(j));
-    let peer_off, peer_adj = remove t.peer_off t.peer_adj i j in
-    let peer_off, peer_adj = remove peer_off peer_adj j i in
-    Obs.incr "topology.delta.remove";
-    { t with peer_off; peer_adj; n_p2p = t.n_p2p - 1 }
-
-  let add_provider_customer t ~provider ~customer =
-    let name = "add_provider_customer" in
-    check_endpoints name t provider customer;
-    check_unconnected name t provider customer;
-    let cust_off, cust_adj = insert t.cust_off t.cust_adj provider customer in
-    let prov_off, prov_adj = insert t.prov_off t.prov_adj customer provider in
-    Obs.incr "topology.delta.add";
-    { t with cust_off; cust_adj; prov_off; prov_adj; n_p2c = t.n_p2c + 1 }
-
-  let remove_provider_customer t ~provider ~customer =
-    let name = "remove_provider_customer" in
-    check_endpoints name t provider customer;
-    if not (mem_customer t provider customer) then
-      err name "AS%d is not a provider of AS%d"
-        (Asn.to_int t.ids.(provider))
-        (Asn.to_int t.ids.(customer));
-    let cust_off, cust_adj = remove t.cust_off t.cust_adj provider customer in
-    let prov_off, prov_adj = remove t.prov_off t.prov_adj customer provider in
-    Obs.incr "topology.delta.remove";
-    { t with cust_off; cust_adj; prov_off; prov_adj; n_p2c = t.n_p2c - 1 }
-
-  (* ---------------------------------------------------------------- *)
-  (* Batch application: N edits, one splice pass per relationship
-     class.  Semantics are pinned to the left-to-right fold of the
-     single-link operations (same validation, same error messages, and
-     a byte-identical result via Snapshot.to_string), but the arrays
-     are rebuilt once instead of N times. *)
+  (* N edits, one splice pass per relationship class.  Edits apply
+     left-to-right: validation sees the effect of earlier edits, and the
+     result is byte-identical (via Snapshot.to_string) to a from-scratch
+     freeze of the equivalently-edited graph, but the arrays are rebuilt
+     once instead of N times. *)
 
   type edit =
     | Add_peering of int * int
@@ -350,7 +270,7 @@ module Delta = struct
     let mem_customer' i j = mem_ov cust_ov (mem_customer t) (i, j) in
     let mem_provider' i j = mem_ov prov_ov (mem_provider t) (i, j) in
     let connected' i j = mem_provider' i j || mem_peer' i j || mem_customer' i j in
-    let check_unconnected' name i j =
+    let check_unconnected name i j =
       if connected' i j then
         err name "AS%d and AS%d are already linked" (Asn.to_int t.ids.(i))
           (Asn.to_int t.ids.(j))
@@ -362,7 +282,7 @@ module Delta = struct
         | Add_peering (i, j) ->
             let name = "add_peering" in
             check_endpoints name t i j;
-            check_unconnected' name i j;
+            check_unconnected name i j;
             Hashtbl.replace peer_ov (i, j) true;
             Hashtbl.replace peer_ov (j, i) true;
             incr p2p;
@@ -380,7 +300,7 @@ module Delta = struct
         | Add_provider_customer { provider; customer } ->
             let name = "add_provider_customer" in
             check_endpoints name t provider customer;
-            check_unconnected' name provider customer;
+            check_unconnected name provider customer;
             Hashtbl.replace cust_ov (provider, customer) true;
             Hashtbl.replace prov_ov (customer, provider) true;
             incr p2c;

@@ -90,44 +90,27 @@ val pp_stats : Format.formatter -> t -> unit
 val thaw : t -> Graph.t
 (** Rebuild an equivalent mutable builder: every interned AS registered,
     every link re-added.  [freeze (thaw t)] is byte-identical to [t]
-    (both intern ascending), which lets a service reconstruct its mutable
-    mirror from a snapshot-loaded core. *)
+    (both intern ascending), so editing the thawed graph and freezing it
+    again is the from-scratch reference for {!Delta.apply_batch}. *)
 
-(** Single-link updates to a frozen view — the {e incremental freeze}
-    used by the resident path-query service under link churn.
+(** Link updates to a frozen view — the {e incremental freeze} used by
+    the resident path-query service under link churn and by the
+    marketplace's epoch splice.
 
-    Each operation splices one element in or out of the two affected CSR
-    rows and returns a {e new} [t]; untouched relationship classes are
-    shared with the input, and the input itself is never mutated.  Cost
-    is O(links in the class) for the splice plus O(num_ases) for the
-    offset rebuild — far below a full {!freeze}, which re-sorts every
-    row from the hash-table builder.
+    One batch of edits is one splice pass per touched relationship
+    class, returning a {e new} [t]; untouched classes are shared with
+    the input, and the input itself is never mutated.  Cost is O(links
+    in each touched class + num_ases) per batch — far below a full
+    {!freeze}, which re-sorts every row from the hash-table builder.
 
     Invariant: the result is byte-identical (via {!Snapshot.to_string})
-    to [freeze] of the equivalently-mutated {!Graph.t}; the service's
-    re-freeze oracle and the churn-equivalence qcheck suite both lean on
-    this.
+    to [freeze] of the {!thaw}ed graph with the same edits applied in
+    order; the service's re-freeze oracle and the churn-equivalence
+    qcheck suite both lean on this.
 
     Endpoints are dense indices (as used by the query layer), and the AS
-    set never changes — churn flips links, not ASes.  Each operation
-    validates its precondition and raises [Invalid_argument] (with the
-    offending ASNs) on out-of-range indices, self-links, adding a link
-    that already exists in any class, or removing one that does not. *)
+    set never changes — churn flips links, not ASes. *)
 module Delta : sig
-  val add_peering : t -> int -> int -> t
-  (** [add_peering t i j] links [i] and [j] as settlement-free peers.
-      @raise Invalid_argument if already connected (in any class). *)
-
-  val remove_peering : t -> int -> int -> t
-  (** @raise Invalid_argument if [i] and [j] are not peers. *)
-
-  val add_provider_customer : t -> provider:int -> customer:int -> t
-  (** @raise Invalid_argument if already connected (in any class). *)
-
-  val remove_provider_customer : t -> provider:int -> customer:int -> t
-  (** @raise Invalid_argument if [provider] is not a provider of
-      [customer]. *)
-
   (** One link edit of a batch, endpoints as dense indices. *)
   type edit =
     | Add_peering of int * int
@@ -136,18 +119,20 @@ module Delta : sig
     | Remove_provider_customer of { provider : int; customer : int }
 
   val apply_batch : t -> edit list -> t
-  (** [apply_batch t edits] applies the edits left-to-right with the
-      exact semantics (validation order, error messages, byte-identical
-      result) of folding the single-link operations above, but rebuilds
-      each touched relationship class in {e one} splice pass instead of
-      one per edit — the marketplace epoch loop applies hundreds of
-      signed agreements per epoch this way, and [serve] churn replay
-      uses the same entry point.  Edits may revisit the same pair
-      (add-then-remove chains behave as in the sequential fold).
-      Validation sees the effect of earlier edits in the batch.
-      Increments [topology.delta.add]/[remove] per edit plus one
+  (** [apply_batch t edits] applies the edits left-to-right, rebuilding
+      each touched relationship class in {e one} splice pass — the
+      marketplace epoch loop applies hundreds of signed agreements per
+      epoch this way, and [serve] churn replay uses the same entry
+      point.  Each edit is validated against the state left by the
+      earlier edits of the batch, so edits may revisit the same pair
+      (an add-then-remove chain leaves the pair as it was).  Increments
+      [topology.delta.add]/[remove] per edit plus one
       [topology.delta.batch].
-      @raise Invalid_argument exactly when the sequential fold would. *)
+      @raise Invalid_argument on the first edit that does not apply,
+      naming the edit ([Compact.Delta.add_peering: ...]) and the
+      offending ASNs: an out-of-range index, a self-link, adding a link
+      that already exists in any class, or removing one that does
+      not. *)
 end
 
 (** Immutable subgraph restrictions over a frozen view — the masked

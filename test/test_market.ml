@@ -266,6 +266,25 @@ let test_both_mode_arms () =
         (c.Market.nash_welfare = rn.Market.welfare)
   | _ -> Alcotest.fail "no epochs"
 
+(* Bench parts 13 and 14 at smoke scale, whose fingerprints
+   BENCH_market.json and BENCH_market_mech.json record: two epochs of
+   up to 384 candidates at W = 24 on the 206-AS graph, at -j1. *)
+let bench_smoke_fingerprint mechanism =
+  let g = gen_graph ~n_transit:24 ~n_stub:170 42 in
+  let cfg =
+    { Market.default with Market.epochs = 2; w = 24; max_candidates = 384;
+      chunk = 8 }
+  in
+  (Market.run ~mechanism cfg g).Market.fingerprint
+
+let test_market_golden () =
+  Alcotest.(check string) "fingerprint" "a6f1ac931c6ba8cb4dab55dc4fa3cd70"
+    (bench_smoke_fingerprint Market.Bosco)
+
+let test_market_mech_golden () =
+  Alcotest.(check string) "fingerprint" "327987d80ac3b04f31587aaa4e3c282a"
+    (bench_smoke_fingerprint Market.Both)
+
 (* ------------------------------------------------------------------ *)
 (* compare_candidates: saturating total order (the overflow regression)*)
 
@@ -341,4 +360,7 @@ let suite =
     Alcotest.test_case "nash-peering qualifier = coalition oracle" `Quick
       test_qualifier_oracle;
     Alcotest.test_case "both-mode arms consistent" `Quick test_both_mode_arms;
+    Alcotest.test_case "market = BENCH_market.json" `Quick test_market_golden;
+    Alcotest.test_case "market mech = BENCH_market_mech.json" `Quick
+      test_market_mech_golden;
   ]

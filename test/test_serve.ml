@@ -70,7 +70,7 @@ let qcheck_churn_equivalence =
       &&
       (* ... and the churned engine answers every sampled query exactly
          like a cold engine built on the mutated graph. *)
-      let cold = Engine.of_graph mirror in
+      let cold = Engine.create (Compact.freeze mirror) in
       let n = Compact.num_ases topo in
       let rng = Rng.create (seed + 2) in
       List.for_all
@@ -121,11 +121,15 @@ let qcheck_store_equivalence =
 (* ------------------------------------------------------------------ *)
 (* Delta round-trips and thaw                                          *)
 
+(* One edit, spliced as a batch of one. *)
+let splice topo edit = Compact.Delta.apply_batch topo [ edit ]
+
 let qcheck_delta_roundtrip =
   QCheck.Test.make ~count:20
     ~name:"Delta: remove;add (and add;remove) round-trip byte-identically"
     QCheck.(int_range 1 10_000)
     (fun seed ->
+      let open Compact.Delta in
       let topo = Compact.freeze (gen_graph seed) in
       let peers = ref [] and transits = ref [] in
       Compact.iter_peering_links topo (fun i j -> peers := (i, j) :: !peers);
@@ -138,9 +142,9 @@ let qcheck_delta_roundtrip =
         | l ->
             let i, j = Rng.choose rng (Array.of_list l) in
             frozen_equal topo
-              (Compact.Delta.add_peering
-                 (Compact.Delta.remove_peering topo i j)
-                 i j)
+              (splice
+                 (splice topo (Remove_peering (i, j)))
+                 (Add_peering (i, j)))
         in
       let transit_rt =
         match !transits with
@@ -148,10 +152,9 @@ let qcheck_delta_roundtrip =
         | l ->
             let provider, customer = Rng.choose rng (Array.of_list l) in
             frozen_equal topo
-              (Compact.Delta.add_provider_customer
-                 (Compact.Delta.remove_provider_customer topo ~provider
-                    ~customer)
-                 ~provider ~customer)
+              (splice
+                 (splice topo (Remove_provider_customer { provider; customer }))
+                 (Add_provider_customer { provider; customer }))
       in
       (* add a fresh link, then remove it again *)
       let n = Compact.num_ases topo in
@@ -168,14 +171,14 @@ let qcheck_delta_roundtrip =
         | None -> true
         | Some (i, j) ->
             frozen_equal topo
-              (Compact.Delta.remove_peering
-                 (Compact.Delta.add_peering topo i j)
-                 i j)
+              (splice
+                 (splice topo (Add_peering (i, j)))
+                 (Remove_peering (i, j)))
             && frozen_equal topo
-                 (Compact.Delta.remove_provider_customer
-                    (Compact.Delta.add_provider_customer topo ~provider:i
-                       ~customer:j)
-                    ~provider:i ~customer:j)
+                 (splice
+                    (splice topo
+                       (Add_provider_customer { provider = i; customer = j }))
+                    (Remove_provider_customer { provider = i; customer = j }))
       in
       peer_rt && transit_rt && add_rt)
 
@@ -198,29 +201,24 @@ let delta_edit_of_event = function
   | Engine.Link_down (Engine.Transit { provider; customer }) ->
       Compact.Delta.Remove_provider_customer { provider; customer }
 
-let apply_single topo = function
-  | Compact.Delta.Add_peering (i, j) -> Compact.Delta.add_peering topo i j
-  | Compact.Delta.Remove_peering (i, j) ->
-      Compact.Delta.remove_peering topo i j
-  | Compact.Delta.Add_provider_customer { provider; customer } ->
-      Compact.Delta.add_provider_customer topo ~provider ~customer
-  | Compact.Delta.Remove_provider_customer { provider; customer } ->
-      Compact.Delta.remove_provider_customer topo ~provider ~customer
-
+(* The reference is independent of Delta: the thawed graph edited in
+   order, frozen from scratch. *)
 let qcheck_batch_equals_sequential =
   QCheck.Test.make ~count:20
-    ~name:"Delta.apply_batch = sequential single-link fold (byte-identical)"
+    ~name:"Delta.apply_batch = sequential edits of the thawed graph, re-frozen"
     QCheck.(pair (int_range 1 10_000) (int_range 0 40))
     (fun (seed, n_events) ->
       let topo = Compact.freeze (gen_graph seed) in
+      let items = gen_events ~seed:(seed + 1) ~topo n_events in
       let edits =
-        gen_events ~seed:(seed + 1) ~topo n_events
-        |> List.map (fun item ->
-               delta_edit_of_event (Serve.event_of_item topo item))
+        List.map
+          (fun item -> delta_edit_of_event (Serve.event_of_item topo item))
+          items
       in
-      let sequential = List.fold_left apply_single topo edits in
+      let sequential = Compact.thaw topo in
+      List.iter (apply_to_graph sequential) items;
       let batch = Compact.Delta.apply_batch topo edits in
-      frozen_equal sequential batch
+      frozen_equal (Compact.freeze sequential) batch
       (* add-then-remove chains on the same pair collapse correctly *)
       &&
       match edits with
@@ -293,32 +291,34 @@ let hand_graph () =
   Graph.add_provider_customer g ~provider:(asn 3) ~customer:(asn 5);
   g
 
+let hand_engine () = Engine.create (Compact.freeze (hand_graph ()))
+
 let test_delta_validation () =
+  let open Compact.Delta in
   let c = Compact.freeze (hand_graph ()) in
-  let expect name msg f =
-    Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ()))
+  let expect name msg edit =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (splice c edit))
   in
   expect "add existing link"
-    "Compact.Delta.add_peering: AS1 and AS2 are already linked" (fun () ->
-      Compact.Delta.add_peering c 0 1);
+    "Compact.Delta.add_peering: AS1 and AS2 are already linked"
+    (Add_peering (0, 1));
   expect "add existing link (transit over peering)"
     "Compact.Delta.add_provider_customer: AS2 and AS3 are already linked"
-    (fun () -> Compact.Delta.add_provider_customer c ~provider:1 ~customer:2);
+    (Add_provider_customer { provider = 1; customer = 2 });
   expect "remove non-peering"
-    "Compact.Delta.remove_peering: AS1 and AS3 are not peers" (fun () ->
-      Compact.Delta.remove_peering c 0 2);
+    "Compact.Delta.remove_peering: AS1 and AS3 are not peers"
+    (Remove_peering (0, 2));
   expect "remove absent transit"
     "Compact.Delta.remove_provider_customer: AS4 is not a provider of AS5"
-    (fun () ->
-      Compact.Delta.remove_provider_customer c ~provider:3 ~customer:4);
-  expect "self link" "Compact.Delta.add_peering: self-link on AS2" (fun () ->
-      Compact.Delta.add_peering c 1 1);
+    (Remove_provider_customer { provider = 3; customer = 4 });
+  expect "self link" "Compact.Delta.add_peering: self-link on AS2"
+    (Add_peering (1, 1));
   expect "index out of range"
-    "Compact.Delta.add_peering: index 9 outside [0, 5)" (fun () ->
-      Compact.Delta.add_peering c 0 9)
+    "Compact.Delta.add_peering: index 9 outside [0, 5)" (Add_peering (0, 9))
 
 let test_engine_apply_validation () =
-  let e = Engine.of_graph (hand_graph ()) in
+  let e = hand_engine () in
   let expect name msg f =
     Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ()))
   in
@@ -335,8 +335,26 @@ let test_engine_apply_validation () =
   expect "out of range" "Engine.apply: index 7 outside [0, 5)" (fun () ->
       Engine.apply e (Engine.Link_up (Engine.Peer (0, 7))))
 
+(* Every query entry point names itself when it rejects an index. *)
+let test_engine_query_validation () =
+  let e = hand_engine () in
+  let intent = Pan_intent.Intent.parse_exn "metric=hops; k=1" in
+  let expect msg f =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  expect "Engine.query: index 9 outside [0, 5)" (fun () ->
+      Engine.query e ~src:0 ~dst:9 ~policy:Path_enum.Grc);
+  expect "Engine.query_uncached: index -1 outside [0, 5)" (fun () ->
+      Engine.query_uncached e ~src:(-1) ~dst:0 ~policy:Path_enum.Grc);
+  expect "Engine.intent_query: index 5 outside [0, 5)" (fun () ->
+      Engine.intent_query e ~src:5 ~dst:0 intent);
+  expect "Engine.intent_query_uncached: index 7 outside [0, 5)" (fun () ->
+      Engine.intent_query_uncached e ~src:0 ~dst:7 intent);
+  expect "Engine.intent_query_uncached: src = dst (index 2)" (fun () ->
+      Engine.intent_query_uncached e ~src:2 ~dst:2 intent)
+
 let test_engine_batch_validates_before_mutation () =
-  let e = Engine.of_graph (hand_graph ()) in
+  let e = hand_engine () in
   let before = Compact.Snapshot.to_string (Engine.topology e) in
   (* second event invalid against the state left by the first *)
   (try
@@ -453,7 +471,7 @@ let test_intent_drop_exact () =
   List.iter
     (fun (a, b) -> Graph.add_peering g (asn a) (asn b))
     [ (1, 2); (2, 4); (1, 3); (3, 4) ];
-  let e = Engine.of_graph g in
+  let e = Engine.create (Compact.freeze g) in
   let i x = Compact.index_of_exn (Engine.topology e) (asn x) in
   let intent = Pan_intent.Intent.parse_exn "metric=hops; k=1" in
   let ask () =
@@ -495,6 +513,17 @@ let test_intent_drain_golden () =
   in
   let out = Serve.run ~mode:Engine.Incremental ~topo stream in
   Alcotest.(check string) "fingerprint" "952c05c6aebe80889bd8f05d7f0f0238"
+    out.Serve.fingerprint
+
+(* Bench part 11's smoke drain, whose fingerprint BENCH_serve.json
+   records: a policy-query stream under 2% churn on the 1k-AS graph. *)
+let test_serve_drain_golden () =
+  let topo = Compact.freeze (gen_graph ~n_transit:60 ~n_stub:928 42) in
+  let stream =
+    Stream.generate ~rng:(Rng.create 44) ~topo ~requests:3000 ~churn:0.02 ()
+  in
+  let out = Serve.run ~mode:Engine.Incremental ~topo stream in
+  Alcotest.(check string) "fingerprint" "4fc3101bc524f6d411b9570b5ac603da"
     out.Serve.fingerprint
 
 (* ------------------------------------------------------------------ *)
@@ -630,6 +659,8 @@ let suite =
     Alcotest.test_case "Delta validation errors" `Quick test_delta_validation;
     Alcotest.test_case "Engine.apply validation errors" `Quick
       test_engine_apply_validation;
+    Alcotest.test_case "Engine query errors name the entry point" `Quick
+      test_engine_query_validation;
     Alcotest.test_case "invalidation soundness (exhaustive sweeps)" `Quick
       test_invalidation_soundness;
     Alcotest.test_case "hand-checked answers (5-AS topology)" `Quick
@@ -640,6 +671,8 @@ let suite =
       test_intent_drop_exact;
     Alcotest.test_case "intent drain = BENCH_intent.json" `Quick
       test_intent_drain_golden;
+    Alcotest.test_case "serve drain = BENCH_serve.json" `Quick
+      test_serve_drain_golden;
     Alcotest.test_case "Serve.run -j1 = -j4" `Quick test_serve_jobs_equal;
     Alcotest.test_case "Serve.run faults+retries byte-identical" `Quick
       test_serve_faults_equal;
