@@ -201,7 +201,12 @@ let stub_arg =
 let topology ~caida ~transit ~stubs ~seed =
   match caida with
   | Some path ->
-      let g = Caida.load path in
+      let g =
+        try Caida.load path
+        with Caida.Parse_error { line; reason; _ } ->
+          Format.eprintf "panagree: %s:%d: %s@." path line reason;
+          exit 1
+      in
       Format.fprintf fmt "# loaded %s: %a@." path Graph.pp_stats g;
       g
   | None ->

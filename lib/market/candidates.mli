@@ -11,9 +11,14 @@
     side — computed directly on the CSR rows without materializing the
     {!Pan_topology.Path_enum_compact.ma_gain} bitsets.
 
-    Enumeration is pure over the immutable frozen view, so it fans out
-    over sources through the supervised runner; the result is
-    bit-identical for every pool size. *)
+    Only the best [max_candidates] pairs are wanted, so enumeration is a
+    bound-pruned search rather than a scan: through [y], side [x] gains
+    at most [up(y) = |providers(y)| + |peers(y)|] destinations, and the
+    search visits pairs in falling order of [up(x) + up(y)], stopping
+    once that bound drops strictly below the current K-th total.  It is
+    sequential, pure over the immutable frozen view, and exact: the
+    result equals sorting every qualifying 2-hop pair and truncating
+    (pinned against that scan in [test_market]). *)
 
 open Pan_topology
 
@@ -30,25 +35,22 @@ val gains : Compact.t -> int -> int -> int * int
 
 val compare_candidates : t -> t -> int
 (** Total gain descending, ties broken by ascending [(x, y)] — the order
-    {!enumerate} sorts and truncates under.  The gain sum saturates at
+    {!enumerate} ranks under.  The gain sum saturates at
     [max_int]/[min_int] instead of wrapping, so the order stays total
     (antisymmetric, transitive) even for adversarial gain counts;
     saturated ties fall back to the pair order.  Pinned by a qcheck
     regression in [test_market]. *)
 
-val enumerate :
-  ?pool:Pan_runner.Pool.t ->
-  ?retries:int ->
-  ?deadline:float ->
-  ?min_gain:int ->
-  ?max_candidates:int ->
-  Compact.t ->
-  t array
-(** Every unconnected 2-hop pair whose sides both gain at least
-    [min_gain] (default 1) destinations, ordered by total gain
-    descending (ties: ascending [(x, y)]) and truncated to
-    [max_candidates] (default 4096).  Signing a candidate connects the
+val enumerate : ?min_gain:int -> ?max_candidates:int -> Compact.t -> t array
+(** The best [max_candidates] (default 4096) unconnected 2-hop pairs
+    whose sides both gain at least [min_gain] (default 1) destinations,
+    ordered by {!compare_candidates}: exactly the first [max_candidates]
+    of all such pairs in that order.  Signing a candidate connects the
     pair, which removes it from — and generally reshapes — the next
-    epoch's enumeration.  [retries]/[deadline] supervise the fan-out
-    exactly as in {!Pan_runner.Task.map}.
+    epoch's enumeration.
+
+    Runs under the [market/enumerate] span.  The counter
+    [market.candidates.enumerated] grows by the number of pairs whose
+    gains the search evaluated (unconnected pairs that survived the
+    bound), [market.candidates.kept] by the length of the result.
     @raise Invalid_argument if [min_gain < 1] or [max_candidates < 0]. *)

@@ -155,7 +155,7 @@ let run ?pool ?retries ?deadline ?(oracle = false) ?(mechanism = Bosco) config
     let e = !epoch in
     let topo = Engine.topology engine in
     let cands =
-      Candidates.enumerate ?pool ?retries ?deadline ~min_gain:config.min_gain
+      Candidates.enumerate ~min_gain:config.min_gain
         ~max_candidates:config.max_candidates topo
     in
     let n = Array.length cands in

@@ -28,10 +28,12 @@ let policy_of_label = function
   | "ma-direct" -> Some Path_enum.Ma_direct_only
   | s -> (
       match String.index_opt s ':' with
-      | Some i
-        when String.sub s 0 i = "ma-top" ->
-          int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-          |> Option.map (fun n -> Path_enum.Ma_top n)
+      | Some i when String.sub s 0 i = "ma-top" -> (
+          match
+            int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
+          with
+          | Some n when n >= 0 -> Some (Path_enum.Ma_top n)
+          | _ -> None)
       | _ -> None)
 
 let pp_asn x = Printf.sprintf "AS%d" (Asn.to_int x)

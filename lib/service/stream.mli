@@ -43,6 +43,8 @@ val policy_label : Path_enum.scenario -> string
 (** [grc] / [ma-all] / [ma-direct] / [ma-top:N]. *)
 
 val policy_of_label : string -> Path_enum.scenario option
+(** Inverse of {!policy_label}; [None] for an unknown label or a
+    negative [ma-top] count. *)
 
 val item_to_string : item -> string
 

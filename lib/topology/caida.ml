@@ -14,6 +14,8 @@ let parse_line lineno text =
           | _ -> fail lineno text (Printf.sprintf "bad AS number %S" s)
         in
         let a = parse_asn as1 and b = parse_asn as2 in
+        if Asn.equal a b then
+          fail lineno text (Printf.sprintf "self-link on AS%d" (Asn.to_int a));
         match String.trim rel with
         | "-1" -> Some (a, b, Graph.Customer)
         | "0" -> Some (a, b, Graph.Peer)
@@ -21,18 +23,32 @@ let parse_line lineno text =
         )
     | _ -> fail lineno text "expected at least 3 '|'-separated fields"
 
+(* A repeated line is harmless; a pair given a second, different
+   relationship is rejected here, at its line, rather than by [Graph]. *)
 let of_lines lines =
   let g = Graph.create () in
   let lineno = ref 0 in
   Seq.iter
-    (fun line ->
+    (fun text ->
       incr lineno;
-      match parse_line !lineno line with
+      match parse_line !lineno text with
       | None -> ()
-      | Some (a, b, Graph.Customer) ->
-          Graph.add_provider_customer g ~provider:a ~customer:b
-      | Some (a, b, Graph.Peer) -> Graph.add_peering g a b
-      | Some (_, _, Graph.Provider) -> assert false)
+      | Some (a, b, rel) -> (
+          (* [a]'s role as seen from [b] *)
+          let role = if rel = Graph.Customer then Graph.Provider else rel in
+          (match Graph.relationship g b a with
+          | Some r when r <> role ->
+              fail !lineno text
+                (Printf.sprintf
+                   "AS%d and AS%d are already linked with another \
+                    relationship"
+                   (Asn.to_int a) (Asn.to_int b))
+          | _ -> ());
+          match rel with
+          | Graph.Customer ->
+              Graph.add_provider_customer g ~provider:a ~customer:b
+          | Graph.Peer -> Graph.add_peering g a b
+          | Graph.Provider -> assert false))
     lines;
   g
 

@@ -17,12 +17,14 @@ exception Parse_error of { line : int; text : string; reason : string }
 val parse_line : int -> string -> (Asn.t * Asn.t * Graph.relationship) option
 (** Parse a single line ([None] for comments/blank lines). The returned
     relationship is the role of the second AS relative to the first, i.e.
-    [-1] yields [Customer]. @raise Parse_error on malformed input. *)
+    [-1] yields [Customer]. @raise Parse_error on malformed input,
+    including a self-link. *)
 
 val of_lines : string Seq.t -> Graph.t
-(** Build a graph from the lines of a dataset.
-    @raise Parse_error on malformed input
-    @raise Invalid_argument on conflicting duplicate relationships. *)
+(** Build a graph from the lines of a dataset.  A repeated line is
+    ignored.
+    @raise Parse_error on malformed input, or on a line giving a pair a
+    relationship other than the one an earlier line gave it. *)
 
 val of_string : string -> Graph.t
 (** Parse a whole dataset held in memory. *)

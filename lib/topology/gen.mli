@@ -27,12 +27,12 @@ type params = {
           geometric number of other members (default 0.5) *)
   route_server_hubs : int;
       (** number of high-degree transit ASes acting like IXP route
-          servers, which peer very widely (default 6); real AS-level
+          servers, which peer very widely (default 10); real AS-level
           topologies owe most of their peering-edge mass to a few such
           hubs *)
   hub_peering_prob : float;
       (** probability that any given AS peers with a given hub
-          (default 0.25) *)
+          (default 0.4) *)
 }
 
 val default_params : params

@@ -36,7 +36,33 @@ let test_parse_errors () =
   expect_error "1|2|5|bgp";
   expect_error "x|2|-1|bgp";
   expect_error "1|-7|-1|bgp";
-  expect_error "1|2"
+  expect_error "1|2";
+  expect_error "7|7|0"
+
+(* Whole-file errors name the offending line: a self-link, and a pair
+   given a second relationship (either direction), used to escape as a
+   bare [Invalid_argument] from [Graph] with no location. *)
+let test_located_errors () =
+  let expect name input ~line ~text ~reason =
+    match Caida.of_string input with
+    | exception Caida.Parse_error e ->
+        Alcotest.(check (triple int string string))
+          name (line, text, reason) (e.line, e.text, e.reason)
+    | _ -> Alcotest.failf "%s: expected Parse_error" name
+  in
+  expect "self-link" "1|2|-1\n3|3|0\n" ~line:2 ~text:"3|3|0"
+    ~reason:"self-link on AS3";
+  expect "p2c then p2p" "1|2|-1\n# note\n2|1|0|mlp\n" ~line:3
+    ~text:"2|1|0|mlp"
+    ~reason:"AS2 and AS1 are already linked with another relationship";
+  expect "p2c then reversed p2c" "1|2|-1\n2|1|-1\n" ~line:2 ~text:"2|1|-1"
+    ~reason:"AS2 and AS1 are already linked with another relationship";
+  expect "p2p then p2c" "5|6|0\n5|6|-1\n" ~line:2 ~text:"5|6|-1"
+    ~reason:"AS5 and AS6 are already linked with another relationship";
+  (* repeating a relationship, or a peering from the other side, is fine *)
+  let g = Caida.of_string "1|2|-1\n1|2|-1\n2|3|0\n3|2|0\n" in
+  Alcotest.(check (pair int int)) "duplicates collapse" (1, 1)
+    (Graph.num_provider_customer_links g, Graph.num_peering_links g)
 
 let test_round_trip () =
   let g = Caida.of_string sample in
@@ -86,6 +112,8 @@ let suite =
     Alcotest.test_case "parse sample" `Quick test_parse;
     Alcotest.test_case "parse line variants" `Quick test_parse_line_variants;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "self-link and conflict errors are located" `Quick
+      test_located_errors;
     Alcotest.test_case "string round trip" `Quick test_round_trip;
     Alcotest.test_case "file round trip" `Quick test_file_round_trip;
     Alcotest.test_case "generated graph round trip" `Quick

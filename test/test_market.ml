@@ -170,13 +170,93 @@ let test_candidates_sound () =
         (Bitset.cardinal
            (Path_enum_compact.ma_gain topo c.Candidates.y c.Candidates.x))
         gy)
-    cands;
-  (* pool-size independence of the enumeration itself *)
-  let par =
-    Pool.with_pool ~domains:4 (fun pool ->
-        Candidates.enumerate ~pool ~min_gain:2 ~max_candidates:1000 topo)
+    cands
+
+(* ------------------------------------------------------------------ *)
+(* Bound-pruned top-K ≡ full build-sort-truncate scan                  *)
+
+let budgets = [ 0; 1; 7; 256; 4096 ]
+
+let pp_cands (a : Candidates.t array) =
+  String.concat " "
+    (Array.to_list
+       (Array.map
+          (fun (c : Candidates.t) ->
+            Printf.sprintf "(%d,%d:%d+%d)" c.Candidates.x c.Candidates.y
+              c.Candidates.gain_x c.Candidates.gain_y)
+          a))
+
+let qcheck_topk_equals_scan =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 50 >>= fun n_transit ->
+      (* 12 tier-1 ASes + transit + stubs in [20, 300] *)
+      int_range (max 0 (8 - n_transit)) (288 - n_transit) >>= fun n_stub ->
+      quad (return (n_transit, n_stub)) (int_range 0 6) (int_range 1 10_000)
+        (oneofl [ 1; 2; 3; 5 ]))
   in
-  Alcotest.(check bool) "enumerate j=1 = j=4" true (cands = par)
+  QCheck.Test.make ~count:40 ~name:"candidates: bound-pruned top-K = full scan"
+    (QCheck.make gen ~print:(fun ((t, s), hubs, seed, min_gain) ->
+         Printf.sprintf "transit=%d stubs=%d hubs=%d seed=%d min_gain=%d" t s
+           hubs seed min_gain))
+    (fun ((n_transit, n_stub), route_server_hubs, seed, min_gain) ->
+      let params =
+        { Gen.default_params with Gen.n_transit; n_stub; route_server_hubs }
+      in
+      let topo = Compact.freeze (Gen.graph (Gen.generate ~params ~seed ())) in
+      List.for_all
+        (fun max_candidates ->
+          let got = Candidates.enumerate ~min_gain ~max_candidates topo in
+          let want =
+            Pan_oracle.Candidates_reference.enumerate ~min_gain ~max_candidates
+              topo
+          in
+          got = want
+          || QCheck.Test.fail_reportf "budget %d:@.got  %s@.want %s"
+               max_candidates (pp_cands got) (pp_cands want))
+        budgets)
+
+(* Customers c1..c4 (AS11..14) of P and Q (AS1, AS2); c2 and c4 also
+   peer with R and S (AS21, AS22), so up(c2) = up(c4) = 4 and
+   up(c1) = up(c3) = 2.  Every c–c pair gains up(other) per side:
+   (c2,c4) totals 8, then four pairs tie at 6.  The search meets
+   (c2,c3) before (c1,c4), which ties it at the K-th total and wins on
+   (x, y) only if bound = K-th total is still searched. *)
+let test_topk_tie_at_cut () =
+  let g = Graph.create () in
+  let a = Asn.of_int in
+  List.iter
+    (fun c ->
+      Graph.add_provider_customer g ~provider:(a 1) ~customer:(a c);
+      Graph.add_provider_customer g ~provider:(a 2) ~customer:(a c))
+    [ 11; 12; 13; 14 ];
+  List.iter
+    (fun (x, y) -> Graph.add_peering g (a x) (a y))
+    [ (12, 21); (12, 22); (14, 21); (14, 22) ];
+  let topo = Compact.freeze g in
+  let asns (arr : Candidates.t array) =
+    Array.to_list
+      (Array.map
+         (fun (c : Candidates.t) ->
+           ( Asn.to_int (Compact.id topo c.Candidates.x),
+             Asn.to_int (Compact.id topo c.Candidates.y),
+             Candidates.(c.gain_x + c.gain_y) ))
+         arr)
+  in
+  let full = Pan_oracle.Candidates_reference.enumerate topo in
+  Alcotest.(check (list (triple int int int)))
+    "full scan"
+    [
+      (12, 14, 8); (11, 12, 6); (11, 14, 6); (12, 13, 6); (13, 14, 6);
+      (11, 13, 4); (21, 22, 4);
+    ]
+    (asns full);
+  for max_candidates = 0 to 8 do
+    Alcotest.(check (list (triple int int int)))
+      (Printf.sprintf "budget %d" max_candidates)
+      (asns (Pan_oracle.Candidates_reference.enumerate ~max_candidates topo))
+      (asns (Candidates.enumerate ~max_candidates topo))
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Nash-Peering qualifier ≡ brute-force coalition oracle               *)
@@ -350,6 +430,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_jobs_equivalence;
     QCheck_alcotest.to_alcotest qcheck_fault_equivalence;
     QCheck_alcotest.to_alcotest qcheck_compare_candidates;
+    QCheck_alcotest.to_alcotest qcheck_topk_equals_scan;
+    Alcotest.test_case "candidates: budget cuts inside a tie" `Quick
+      test_topk_tie_at_cut;
     Alcotest.test_case "delta oracle across epochs" `Quick test_delta_oracle;
     Alcotest.test_case "agreements distinct across epochs" `Quick
       test_agreements_distinct;

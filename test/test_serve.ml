@@ -604,6 +604,10 @@ let test_stream_parse_errors () =
     "Stream.parse: line 1: unknown policy \"bogus\" (expected grc, ma-all, \
      ma-direct or ma-top:N)"
     "query AS1 AS2 bogus";
+  expect "negative ma-top count"
+    "Stream.parse: line 1: unknown policy \"ma-top:-3\" (expected grc, \
+     ma-all, ma-direct or ma-top:N)"
+    "query AS1 AS2 ma-top:-3";
   expect "unknown verb, right line number"
     "Stream.parse: line 3: unknown item \"nonsense\" (expected query, \
      intent, up or down)"
@@ -629,6 +633,10 @@ let test_policy_labels () =
     (Path_enum.Ma_top 7 :: policies);
   Alcotest.(check bool) "ma-top:5" true
     (Stream.policy_of_label "ma-top:5" = Some (Path_enum.Ma_top 5));
+  Alcotest.(check bool) "ma-top:0" true
+    (Stream.policy_of_label "ma-top:0" = Some (Path_enum.Ma_top 0));
+  Alcotest.(check bool) "negative ma-top rejected" true
+    (Stream.policy_of_label "ma-top:-1" = None);
   Alcotest.(check bool) "ma-top junk rejected" true
     (Stream.policy_of_label "ma-top:x" = None);
   Alcotest.(check bool) "empty rejected" true
