@@ -1020,7 +1020,7 @@ let run_serve scale =
     p50 p99;
   (* Incremental freeze vs full re-freeze, same stream end to end. *)
   let inc, t_inc =
-    time (fun () -> Sv.Serve.run ~mode:Sv.Engine.Incremental ~topo stream)
+    time (fun () -> Sv.Serve.run ~topo stream)
   in
   let refr, t_refr =
     time (fun () -> Sv.Serve.run ~mode:Sv.Engine.Refreeze ~topo stream)
@@ -1037,7 +1037,7 @@ let run_serve scale =
   let par, _t_par =
     Pan_runner.Pool.with_pool ~domains:4 (fun pool ->
         time (fun () ->
-            Sv.Serve.run ~pool ~mode:Sv.Engine.Incremental ~topo stream))
+            Sv.Serve.run ~pool ~topo stream))
   in
   let jobs_equal =
     String.equal inc.Sv.Serve.fingerprint par.Sv.Serve.fingerprint
@@ -1170,12 +1170,12 @@ let run_intent scale =
       ~churn:0.02 ()
   in
   let j1, t_j1 =
-    time (fun () -> Sv.Serve.run ~mode:Sv.Engine.Incremental ~topo stream)
+    time (fun () -> Sv.Serve.run ~topo stream)
   in
   let j4, _ =
     Pan_runner.Pool.with_pool ~domains:4 (fun pool ->
         time (fun () ->
-            Sv.Serve.run ~pool ~mode:Sv.Engine.Incremental ~topo stream))
+            Sv.Serve.run ~pool ~topo stream))
   in
   let jobs_equal = String.equal j1.Sv.Serve.fingerprint j4.Sv.Serve.fingerprint in
   if not jobs_equal then ok := false;

@@ -628,8 +628,7 @@ let serve_cmd =
               (seed + 2) requests churn;
             s
       in
-      Serve.run ~pool ~retries ?deadline ~oracle ~mode:Engine.Incremental
-        ~topo items
+      Serve.run ~pool ~retries ?deadline ~oracle ~topo items
     in
     Format.fprintf fmt "%s" outcome.Serve.transcript;
     let s = outcome.Serve.stats in
@@ -721,9 +720,9 @@ let market_cmd =
   in
   let oracle_arg =
     let doc =
-      "After each epoch's batch splice, re-freeze the mutated graph from \
-       scratch and compare byte-for-byte with the incrementally-spliced \
-       core."
+      "Shadow the marketplace with a full re-freeze engine that gets the \
+       same epoch batches, and compare its frozen core byte-for-byte with \
+       the incrementally-spliced one after every epoch."
     in
     Arg.(value & flag & info [ "oracle" ] ~doc)
   in
@@ -732,9 +731,7 @@ let market_cmd =
     with_run ctx @@ fun ~pool ~retries ~deadline ->
     let result =
       or_exit @@ fun () ->
-      let g =
-        Compact.thaw (frozen_topology ~snapshot ~caida ~transit ~stubs ~seed)
-      in
+      let topo = frozen_topology ~snapshot ~caida ~transit ~stubs ~seed in
       let config =
         {
           Market.epochs;
@@ -746,7 +743,8 @@ let market_cmd =
           seed;
         }
       in
-      Market.run ~pool ~retries ?deadline ~oracle ~mechanism config g
+      Market.run_frozen ~pool ~retries ?deadline ~oracle ~mechanism config
+        topo
     in
     Market.pp fmt result
   in

@@ -20,7 +20,7 @@ let () =
   printf "Topology: %a@." Graph.pp_stats graph;
   printf "Agreement (Eq. 6): %a@." Agreement.pp agreement;
   printf "Violates the Gao-Rexford conditions: %b@.@."
-    (Agreement.violates_grc graph agreement);
+    (Agreement.violates_grc agreement);
 
   (* 2. What would D and E gain if every forecast flow materialized? *)
   let u_d, u_e =

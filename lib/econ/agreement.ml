@@ -13,7 +13,7 @@ let grant_all g = Asn.Set.union g.providers (Asn.Set.union g.peers g.customers)
 
 type t = { x : Asn.t; y : Asn.t; x_grant : grant; y_grant : grant }
 
-let check_grant g party grant =
+let check_grant (v : Graph.view) party grant =
   let sub name offered actual =
     if not (Asn.Set.subset offered actual) then
       Error
@@ -21,24 +21,32 @@ let check_grant g party grant =
            name)
     else Ok ()
   in
-  match sub "providers" grant.providers (Graph.providers g party) with
+  match sub "providers" grant.providers (v.providers party) with
   | Error _ as e -> e
   | Ok () -> (
-      match sub "peers" grant.peers (Graph.peers g party) with
+      match sub "peers" grant.peers (v.peers party) with
       | Error _ as e -> e
-      | Ok () -> sub "customers" grant.customers (Graph.customers g party))
+      | Ok () -> sub "customers" grant.customers (v.customers party))
 
-let make g ~x ~y ~x_grant ~y_grant =
+let make v ~x ~y ~x_grant ~y_grant =
   if Asn.equal x y then Error "agreement parties must differ"
   else
-    match (check_grant g x x_grant, check_grant g y y_grant) with
+    match (check_grant v x x_grant, check_grant v y y_grant) with
     | Error e, _ | _, Error e -> Error e
     | Ok (), Ok () -> Ok { x; y; x_grant; y_grant }
 
-let make_exn g ~x ~y ~x_grant ~y_grant =
-  match make g ~x ~y ~x_grant ~y_grant with
+let make_exn v ~x ~y ~x_grant ~y_grant =
+  match make v ~x ~y ~x_grant ~y_grant with
   | Ok t -> t
   | Error msg -> invalid_arg ("Agreement.make_exn: " ^ msg)
+
+let ma_grant (v : Graph.view) p ~other =
+  let excluded = Asn.Set.add other (v.customers other) in
+  {
+    empty_grant with
+    providers = Asn.Set.diff (v.providers p) excluded;
+    peers = Asn.Set.diff (v.peers p) excluded;
+  }
 
 let parties t = (t.x, t.y)
 
@@ -54,7 +62,7 @@ let grant_of t p =
 
 let accessible t ~to_ = grant_all (grant_of t (counterparty t to_))
 
-let violates_grc _g t =
+let violates_grc t =
   let nonempty g =
     not (Asn.Set.is_empty g.providers && Asn.Set.is_empty g.peers)
   in
@@ -64,26 +72,19 @@ let classic_peering g x y =
   let grant_for p =
     { empty_grant with customers = Graph.customers g p }
   in
-  make_exn g ~x ~y ~x_grant:(grant_for x) ~y_grant:(grant_for y)
+  make_exn (Graph.view g) ~x ~y ~x_grant:(grant_for x) ~y_grant:(grant_for y)
 
 let mutuality g x y =
   (match Graph.relationship g x y with
   | Some Graph.Peer -> ()
   | _ -> invalid_arg "Agreement.mutuality: parties are not peers");
-  let grant_for p other =
-    {
-      empty_grant with
-      providers = Asn.Set.diff (Graph.providers g p) (Graph.customers g other);
-      peers =
-        Asn.Set.remove other
-          (Asn.Set.diff (Graph.peers g p) (Graph.customers g other));
-    }
-  in
-  make_exn g ~x ~y ~x_grant:(grant_for x y) ~y_grant:(grant_for y x)
+  let v = Graph.view g in
+  make_exn v ~x ~y ~x_grant:(ma_grant v x ~other:y)
+    ~y_grant:(ma_grant v y ~other:x)
 
 let paper_example g =
   let a c = Gen.fig1_asn c in
-  make_exn g ~x:(a 'D') ~y:(a 'E')
+  make_exn (Graph.view g) ~x:(a 'D') ~y:(a 'E')
     ~x_grant:{ empty_grant with providers = Asn.Set.singleton (a 'A') }
     ~y_grant:
       {

@@ -31,13 +31,19 @@ type t = private {
 }
 
 val make :
-  Graph.t -> x:Asn.t -> y:Asn.t -> x_grant:grant -> y_grant:grant ->
+  Graph.view -> x:Asn.t -> y:Asn.t -> x_grant:grant -> y_grant:grant ->
   (t, string) result
-(** Validate against the topology: [x ≠ y] and each grant component a
-    subset of the corresponding neighbor set of the granting party. *)
+(** Validate against the topology's view: [x ≠ y] and each grant
+    component a subset of the corresponding neighbor set of the
+    granting party. *)
 
 val make_exn :
-  Graph.t -> x:Asn.t -> y:Asn.t -> x_grant:grant -> y_grant:grant -> t
+  Graph.view -> x:Asn.t -> y:Asn.t -> x_grant:grant -> y_grant:grant -> t
+
+val ma_grant : Graph.view -> Asn.t -> other:Asn.t -> grant
+(** The MA grant [p] offers [other]: [p]'s providers and peers, minus
+    [other] and [other]'s customers.  {!mutuality} and the marketplace
+    both use it. *)
 
 val parties : t -> Asn.t * Asn.t
 val counterparty : t -> Asn.t -> Asn.t
@@ -51,7 +57,7 @@ val accessible : t -> to_:Asn.t -> Asn.Set.t
 (** Destinations the given party gains access to (the other side's grant).
     @raise Invalid_argument if the AS is not a party. *)
 
-val violates_grc : Graph.t -> t -> bool
+val violates_grc : t -> bool
 (** Does the agreement grant access to any provider or peer — i.e. create
     a path that the Gao–Rexford export rules would forbid? *)
 
@@ -61,8 +67,8 @@ val classic_peering : Graph.t -> Asn.t -> Asn.t -> t
 
 val mutuality : Graph.t -> Asn.t -> Asn.t -> t
 (** The §VI mutuality-based agreement between two existing peers: each
-    side offers all its providers and peers that are not customers of the
-    other side. @raise Invalid_argument if the ASes are not peers. *)
+    side offers its {!ma_grant}. @raise Invalid_argument if the ASes
+    are not peers. *)
 
 val paper_example : Graph.t -> t
 (** Eq. 6 on Fig. 1: [a = \[D(↑{A}); E(↑{B}, →{F})\]] — requires the graph

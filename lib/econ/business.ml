@@ -59,7 +59,8 @@ let internal_cost t = t.internal_cost
 let provider_pricing t = Asn.Map.bindings t.provider_prices
 let customer_pricing t = Asn.Map.bindings t.customer_prices
 
-let of_graph ?default_transit ?default_internal ?stub_price g x =
+let of_graph ?default_transit ?default_internal ?stub_price (v : Graph.view)
+    x =
   let transit =
     match default_transit with
     | Some p -> p
@@ -70,10 +71,10 @@ let of_graph ?default_transit ?default_internal ?stub_price g x =
   in
   let stub = match stub_price with Some p -> p | None -> transit in
   let provider_prices =
-    Asn.Set.fold (fun y acc -> (y, transit) :: acc) (Graph.providers g x) []
+    Asn.Set.fold (fun y acc -> (y, transit) :: acc) (v.providers x) []
   in
   let customer_prices =
-    Asn.Set.fold (fun y acc -> (y, transit) :: acc) (Graph.customers g x) []
+    Asn.Set.fold (fun y acc -> (y, transit) :: acc) (v.customers x) []
   in
   let customer_prices = (Flows.stub x, stub) :: customer_prices in
   create ~asn:x ~internal_cost:internal ~provider_prices ~customer_prices ()

@@ -48,14 +48,14 @@ val of_graph :
   ?default_transit:Pricing.t ->
   ?default_internal:Cost.t ->
   ?stub_price:Pricing.t ->
-  Graph.t ->
+  Graph.view ->
   Asn.t ->
   t
-(** Derive a profile from a topology with uniform defaults: every provider
-    and customer link priced with [default_transit] (default: per-usage at
-    unit price 1.0), internal cost [default_internal] (default: linear at
-    rate 0.1), and the virtual end-host stub priced with [stub_price]
-    (default: same as transit). *)
+(** Derive a profile from a topology's view with uniform defaults: every
+    provider and customer link priced with [default_transit] (default:
+    per-usage at unit price 1.0), internal cost [default_internal]
+    (default: linear at rate 0.1), and the virtual end-host stub priced
+    with [stub_price] (default: same as transit). *)
 
 val internal_cost_at : t -> Flows.t -> float
 (** The internal-cost component [i_X(f_X)] of Eq. 1b alone. *)

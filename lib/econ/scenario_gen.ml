@@ -71,7 +71,7 @@ let fig1_scenario ?(transit_price = 1.0) ?(stub_price = 2.0)
       ]
   in
   let scenario =
-    Traffic_model.make_scenario_exn ~graph:g ~agreement
+    Traffic_model.make_scenario_exn ~agreement
       ~businesses:[ (d, business_d); (e, business_e) ]
       ~baseline:[ (d, baseline_d); (e, baseline_e) ]
       ~demands
@@ -144,9 +144,102 @@ let random_scenario ?(max_demands = 4) rng g ~x ~y =
   in
   if demands = [] then
     invalid_arg "Scenario_gen.random_scenario: MA grants no destinations";
-  Traffic_model.make_scenario_exn ~graph:g ~agreement
+  Traffic_model.make_scenario_exn ~agreement
     ~businesses:[ (x, random_business rng g x); (y, random_business rng g y) ]
     ~baseline:[ (x, random_baseline rng g x); (y, random_baseline rng g y) ]
+    ~demands
+
+(* Deterministic per-AS business conditions: prices and internal-cost
+   rates vary across ASes (drawn from a stream keyed by seed, AS and
+   [key]), which is what makes some agreements viable and others not. *)
+let business_of ~key ~seed v x =
+  let rng = Rng.create (Hashtbl.hash (seed, Asn.to_int x, key)) in
+  let transit = Pricing.per_usage ~unit_price:(Rng.uniform rng 0.7 1.3) in
+  (* a sizable share of ASes bills end-hosts flat-rate: for them newly
+     attracted traffic generates no extra revenue — the paper's §III-B1
+     reason why even classic peering can be unattractive *)
+  let stub =
+    if Rng.float rng < 0.4 then Pricing.flat_rate ~fee:20.0
+    else Pricing.per_usage ~unit_price:(Rng.uniform rng 1.2 2.5)
+  in
+  let internal = Cost.linear ~rate:(Rng.uniform rng 0.05 0.7) in
+  Business.of_graph ~default_transit:transit ~default_internal:internal
+    ~stub_price:stub v x
+
+(* Baseline link volumes follow a gravity-ish rule so large ASes carry
+   more traffic; the stub (end-host) volume scales with customer count. *)
+let baseline_of (v : Graph.view) x =
+  let neighbors =
+    Asn.Set.union (v.providers x) (Asn.Set.union (v.peers x) (v.customers x))
+  in
+  let entries =
+    Asn.Set.fold
+      (fun y acc ->
+        let vol = 2.0 *. sqrt (float_of_int (v.degree x * v.degree y)) in
+        (y, vol) :: acc)
+      neighbors []
+  in
+  let stub_volume = 4.0 +. float_of_int (v.degree x) in
+  Flows.of_list ((Flows.stub x, stub_volume) :: entries)
+
+(* Forecast demands for one side of the MA.  The partner's providers come
+   first — access to providers is the headline MA case and the one that
+   costs the transit party money — followed by the partner's peers in
+   degree order. *)
+let demands_for ~rng ~max_demands (v : Graph.view) ~beneficiary ~transit
+    ~granted =
+  let transit_providers = v.providers transit in
+  let providers, peers =
+    Asn.Set.partition (fun z -> Asn.Set.mem z transit_providers) granted
+  in
+  let by_degree set =
+    Asn.Set.elements set
+    |> List.map (fun z -> (v.degree z, z))
+    |> List.sort (fun (d1, z1) (d2, z2) ->
+           match compare d2 d1 with 0 -> Asn.compare z1 z2 | c -> c)
+    |> List.map snd
+  in
+  let dests =
+    by_degree providers @ by_degree peers
+    |> List.filteri (fun i _ -> i < max_demands)
+  in
+  let providers = v.providers beneficiary in
+  let reroute_from =
+    if Asn.Set.is_empty providers then None
+    else Some (Asn.Set.min_elt providers)
+  in
+  let provider_traffic = 4.0 *. sqrt (float_of_int (v.degree beneficiary)) in
+  List.map
+    (fun z ->
+      let share = Rng.uniform rng 0.05 0.3 in
+      let reroutable =
+        if reroute_from = None then 0.0 else provider_traffic *. share
+      in
+      Traffic_model.
+        {
+          beneficiary;
+          transit;
+          dest = z;
+          reroutable;
+          reroute_from;
+          attracted_max = reroutable *. Rng.uniform rng 0.2 0.8;
+        })
+    dests
+
+let ma_scenario ~key ~seed ~rng ~max_demands v agreement =
+  let x, y = Agreement.parties agreement in
+  (* The compiler evaluates [@]'s operands right to left, so [y]'s side
+     draws from [rng] first; the pinned results depend on that order. *)
+  let demands =
+    demands_for ~rng ~max_demands v ~beneficiary:x ~transit:y
+      ~granted:(Agreement.accessible agreement ~to_:x)
+    @ demands_for ~rng ~max_demands v ~beneficiary:y ~transit:x
+        ~granted:(Agreement.accessible agreement ~to_:y)
+  in
+  Traffic_model.make_scenario_exn ~agreement
+    ~businesses:
+      [ (x, business_of ~key ~seed v x); (y, business_of ~key ~seed v y) ]
+    ~baseline:[ (x, baseline_of v x); (y, baseline_of v y) ]
     ~demands
 
 let fig1_peering_scenario ?(transit_price = 1.0) ?(stub_price = 2.0)
@@ -207,7 +300,7 @@ let fig1_peering_scenario ?(transit_price = 1.0) ?(stub_price = 2.0)
       ]
   in
   let scenario =
-    Traffic_model.make_scenario_exn ~graph:g ~agreement
+    Traffic_model.make_scenario_exn ~agreement
       ~businesses:[ (d, business_d); (e, business_e) ]
       ~baseline:[ (d, baseline_d); (e, baseline_e) ]
       ~demands

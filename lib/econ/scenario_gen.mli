@@ -1,8 +1,9 @@
 (** Ready-made and randomized negotiation scenarios.
 
     Provides the paper's worked example (Eq. 6 on Fig. 1) with concrete
-    business numbers, and a randomized generator used by the §IV-C method
-    comparison experiment and the property-based tests. *)
+    business numbers, a randomized generator used by the §IV-C method
+    comparison experiment and the property-based tests, and the MA
+    recipe ({!ma_scenario}) of the adoption experiment and the market. *)
 
 open Pan_topology
 open Pan_numerics
@@ -28,6 +29,17 @@ val random_scenario :
     baseline flows, and up to [max_demands] (default 4) segment demands
     over granted destinations.  @raise Invalid_argument if [x] and [y] are
     not peers or the MA grants no destinations at all. *)
+
+val ma_scenario :
+  key:string -> seed:int -> rng:Rng.t -> max_demands:int -> Graph.view ->
+  Agreement.t -> Traffic_model.scenario
+(** The topology-derived scenario of a mutuality agreement, shared by
+    the MA adoption experiment and the marketplace: per-party business
+    profiles drawn from a stream keyed by [(seed, asn, key)], gravity
+    baselines from degrees, and per side up to [max_demands] demands
+    over the granted providers, then peers, by descending degree.
+    Demand volumes draw from [rng], [y]'s side first.  The scenario
+    may have no demands. *)
 
 val fig1_peering_scenario :
   ?transit_price:float ->

@@ -45,7 +45,7 @@ let pair_map name agreement l =
   then Ok m
   else Error (Printf.sprintf "%s must be given for exactly both parties" name)
 
-let make_scenario ~graph:_ ~agreement ~businesses ~baseline ~demands =
+let make_scenario ~agreement ~businesses ~baseline ~demands =
   match
     ( pair_map "businesses" agreement businesses,
       pair_map "baseline" agreement baseline )
@@ -61,8 +61,8 @@ let make_scenario ~graph:_ ~agreement ~businesses ~baseline ~demands =
       in
       check demands)
 
-let make_scenario_exn ~graph ~agreement ~businesses ~baseline ~demands =
-  match make_scenario ~graph ~agreement ~businesses ~baseline ~demands with
+let make_scenario_exn ~agreement ~businesses ~baseline ~demands =
+  match make_scenario ~agreement ~businesses ~baseline ~demands with
   | Ok s -> s
   | Error e -> invalid_arg ("Traffic_model.make_scenario_exn: " ^ e)
 

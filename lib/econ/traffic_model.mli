@@ -33,7 +33,6 @@ type segment_demand = {
 type scenario
 
 val make_scenario :
-  graph:Graph.t ->
   agreement:Agreement.t ->
   businesses:(Asn.t * Business.t) list ->
   baseline:(Asn.t * Flows.t) list ->
@@ -44,7 +43,6 @@ val make_scenario :
     the agreement actually grants; volumes non-negative. *)
 
 val make_scenario_exn :
-  graph:Graph.t ->
   agreement:Agreement.t ->
   businesses:(Asn.t * Business.t) list ->
   baseline:(Asn.t * Flows.t) list ->

@@ -27,105 +27,18 @@ type result = {
   sampled : per_as list;
 }
 
-(* Deterministic per-AS business conditions: prices and internal-cost
-   rates vary across ASes (drawn from a seed-derived stream), which is
-   what makes some agreements viable and others not. *)
-let business_of ~seed g x =
-  let rng = Rng.create (Hashtbl.hash (seed, Asn.to_int x, "biz")) in
-  let transit = Pricing.per_usage ~unit_price:(Rng.uniform rng 0.7 1.3) in
-  (* a sizable share of ASes bills end-hosts flat-rate: for them newly
-     attracted traffic generates no extra revenue — the paper's §III-B1
-     reason why even classic peering can be unattractive *)
-  let stub =
-    if Rng.float rng < 0.4 then Pricing.flat_rate ~fee:20.0
-    else Pricing.per_usage ~unit_price:(Rng.uniform rng 1.2 2.5)
-  in
-  let internal = Cost.linear ~rate:(Rng.uniform rng 0.05 0.7) in
-  Business.of_graph ~default_transit:transit ~default_internal:internal
-    ~stub_price:stub g x
-
-(* Baseline link volumes follow a gravity-ish rule so large ASes carry
-   more traffic; the stub (end-host) volume scales with customer count. *)
-let baseline_of g x =
-  let entries =
-    Asn.Set.fold
-      (fun y acc ->
-        let v =
-          2.0 *. sqrt (float_of_int (Graph.degree g x * Graph.degree g y))
-        in
-        (y, v) :: acc)
-      (Graph.neighbors g x) []
-  in
-  let stub_volume = 4.0 +. float_of_int (Graph.degree g x) in
-  Flows.of_list ((Flows.stub x, stub_volume) :: entries)
-
-(* Forecast demands for one side of the MA.  The partner's providers come
-   first — access to providers is the headline MA case and the one that
-   costs the transit party money — followed by the partner's peers in
-   degree order. *)
-let demands_for ~rng ~max_demands g ~beneficiary ~transit ~granted =
-  let providers, peers =
-    Asn.Set.partition
-      (fun z -> Asn.Set.mem z (Graph.providers g transit))
-      granted
-  in
-  let by_degree set =
-    Asn.Set.elements set
-    |> List.map (fun z -> (Graph.degree g z, z))
-    |> List.sort (fun (d1, z1) (d2, z2) ->
-           match compare d2 d1 with 0 -> Asn.compare z1 z2 | c -> c)
-    |> List.map snd
-  in
-  let dests =
-    by_degree providers @ by_degree peers
-    |> List.filteri (fun i _ -> i < max_demands)
-  in
-  let providers = Graph.providers g beneficiary in
-  let reroute_from =
-    if Asn.Set.is_empty providers then None
-    else Some (Asn.Set.min_elt providers)
-  in
-  let provider_traffic =
-    4.0 *. sqrt (float_of_int (Graph.degree g beneficiary))
-  in
-  List.map
-    (fun z ->
-      let share = Rng.uniform rng 0.05 0.3 in
-      let reroutable =
-        if reroute_from = None then 0.0 else provider_traffic *. share
-      in
-      Traffic_model.
-        {
-          beneficiary;
-          transit;
-          dest = z;
-          reroutable;
-          reroute_from;
-          attracted_max = reroutable *. Rng.uniform rng 0.2 0.8;
-        })
-    dests
-
 let negotiate_pair_with ~max_demands ~seed g x y =
   let rng =
     Rng.create
       (Hashtbl.hash (seed, Asn.to_int x, Asn.to_int y, "pair"))
   in
-  let agreement = Agreement.mutuality g x y in
-  let demands =
-    demands_for ~rng ~max_demands g ~beneficiary:x ~transit:y
-      ~granted:(Agreement.accessible agreement ~to_:x)
-    @ demands_for ~rng ~max_demands g ~beneficiary:y ~transit:x
-        ~granted:(Agreement.accessible agreement ~to_:y)
+  let scenario =
+    Scenario_gen.ma_scenario ~key:"biz" ~seed ~rng ~max_demands
+      (Graph.view g) (Agreement.mutuality g x y)
   in
-  if demands = [] then { x; y; joint_utility = 0.0; concluded = false }
+  if Traffic_model.demands scenario = [] then
+    { x; y; joint_utility = 0.0; concluded = false }
   else
-    let scenario =
-      Traffic_model.make_scenario_exn ~graph:g ~agreement
-        ~businesses:
-          [ (x, business_of ~seed g x); (y, business_of ~seed g y) ]
-        ~baseline:[ (x, baseline_of g x); (y, baseline_of g y) ]
-        ~demands
-    in
     let r = Cash_opt.optimize scenario in
     {
       x;

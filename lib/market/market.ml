@@ -111,8 +111,6 @@ let epoch_welfare signed_outcomes =
     !total
   end
 
-let snapshot_bytes topo = Compact.Snapshot.to_string topo
-
 let mean_pod_of viable_o =
   match viable_o with
   | [] -> Float.nan
@@ -122,14 +120,15 @@ let mean_pod_of viable_o =
         0.0 viable_o
       /. float_of_int (List.length viable_o)
 
-let run ?pool ?retries ?deadline ?(oracle = false) ?(mechanism = Bosco) config
-    g =
+let run_frozen ?pool ?retries ?deadline ?(oracle = false) ?(mechanism = Bosco)
+    config topo =
   check_config config;
   Obs.with_span "market/run" @@ fun () ->
-  let engine = Engine.create (Compact.freeze g) in
-  (* Private mutable link state: scenario construction reads it, signed
-     agreements mutate it, and the oracle re-freezes it from scratch. *)
-  let graph = Graph.copy g in
+  let engine = Engine.create topo in
+  (* The oracle: a re-freeze engine that gets the same epoch batches. *)
+  let shadow =
+    if oracle then Some (Engine.create ~mode:Engine.Refreeze topo) else None
+  in
   let dist = Distribution.uniform (-1.0) 1.0 in
   (* One truthful benchmark shared by every negotiation (they all
      bargain over the same normalized utility distribution). *)
@@ -148,7 +147,7 @@ let run ?pool ?retries ?deadline ?(oracle = false) ?(mechanism = Bosco) config
   let agreements = ref [] in
   let pairs = ref 0 in
   let negotiations = ref 0 in
-  let oracle_ok = ref (if oracle then Some true else None) in
+  let oracle_ok = ref true in
   let epoch = ref 1 in
   let continue = ref true in
   while !continue && !epoch <= config.epochs do
@@ -191,7 +190,7 @@ let run ?pool ?retries ?deadline ?(oracle = false) ?(mechanism = Bosco) config
         Pan_runner.Task.map_reduce ?pool ?retries ?deadline ~rng
           ~n:(Array.length cs) ~chunk:config.chunk
           ~f:(fun _crng i ->
-            Negotiate.negotiate_pair ~graph ~topo ~seed:config.seed ~epoch:e
+            Negotiate.negotiate_pair ~topo ~seed:config.seed ~epoch:e
               ~w:config.w ~max_demands:config.max_demands ~truthful ~dist
               cs.(i))
           ~combine:(fun acc o -> o :: acc)
@@ -206,7 +205,7 @@ let run ?pool ?retries ?deadline ?(oracle = false) ?(mechanism = Bosco) config
         Pan_runner.Task.map_reduce ?pool ?retries ?deadline ~rng
           ~n:(Array.length cs) ~chunk:config.chunk
           ~f:(fun _crng i ->
-            Nash_peering.score_pair ~graph ~topo ~seed:config.seed ~epoch:e
+            Nash_peering.score_pair ~topo ~seed:config.seed ~epoch:e
               ~max_demands:config.max_demands cs.(i))
           ~combine:(fun acc s -> s :: acc)
           ~init:[] ()
@@ -302,12 +301,19 @@ let run ?pool ?retries ?deadline ?(oracle = false) ?(mechanism = Bosco) config
           signed_o
       in
       let invalidated = Engine.apply_batch engine events in
+      Option.iter
+        (fun shadow ->
+          ignore (Engine.apply_batch shadow events : int);
+          oracle_ok :=
+            !oracle_ok
+            && String.equal
+                 (Compact.Snapshot.to_string (Engine.topology engine))
+                 (Compact.Snapshot.to_string (Engine.topology shadow)))
+        shadow;
       List.iter
         (fun (o : Negotiate.outcome) ->
-          let ix = o.Negotiate.cand.Candidates.x
-          and iy = o.Negotiate.cand.Candidates.y in
-          let x = Compact.id topo ix and y = Compact.id topo iy in
-          Graph.add_peering graph x y;
+          let x = Compact.id topo o.Negotiate.cand.Candidates.x
+          and y = Compact.id topo o.Negotiate.cand.Candidates.y in
           agreements := (x, y) :: !agreements)
         signed_o;
       (* Memoized path store across epochs: each signed pair's MA path
@@ -324,15 +330,6 @@ let run ?pool ?retries ?deadline ?(oracle = false) ?(mechanism = Bosco) config
             acc + List.length mids)
           0 signed_o
       in
-      if oracle then begin
-        let ok =
-          String.equal
-            (snapshot_bytes (Engine.topology engine))
-            (snapshot_bytes (Compact.freeze graph))
-        in
-        oracle_ok :=
-          Some (match !oracle_ok with Some prev -> prev && ok | None -> ok)
-      end;
       Printf.bprintf buf
         "epoch %d: %d candidates %d viable %d signed welfare:%h paths:%d \
          invalidated:%d\n"
@@ -369,8 +366,12 @@ let run ?pool ?retries ?deadline ?(oracle = false) ?(mechanism = Bosco) config
     negotiations = !negotiations;
     welfare;
     fingerprint = Digest.to_hex (Digest.string (Buffer.contents buf));
-    oracle_ok = !oracle_ok;
+    oracle_ok = (if oracle then Some !oracle_ok else None);
   }
+
+let run ?pool ?retries ?deadline ?oracle ?mechanism config g =
+  run_frozen ?pool ?retries ?deadline ?oracle ?mechanism config
+    (Compact.freeze g)
 
 let pp_pod fmt_nan pod =
   if Float.is_nan pod then fmt_nan else Printf.sprintf "PoD %.3f" pod

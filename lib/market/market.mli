@@ -14,13 +14,17 @@
     queries the store for every signed pair's MA path count, and later
     epochs' splices invalidate exactly the affected entries.
 
+    The engine's frozen core is the only topology the marketplace
+    reads; negotiations read it through {!Pan_topology.Compact.view}.
+
     Determinism: for a fixed config the whole result — agreement set,
     welfare totals, the transcript fingerprint — is bit-identical for
     every pool size, chunk size, and under injected faults with retries
     (the PR 5 supervision contract).  The [oracle] flag additionally
-    re-freezes a from-scratch mutated graph after every epoch and
-    requires byte-identical snapshots ({!Pan_topology.Compact.Snapshot}),
-    pinning the incremental splice chain. *)
+    feeds every epoch batch to a shadow [Refreeze] engine, as
+    [Serve.run] does per event, and requires byte-identical snapshots
+    ({!Pan_topology.Compact.Snapshot}), pinning the incremental splice
+    chain. *)
 
 open Pan_topology
 
@@ -97,16 +101,16 @@ type result = {
   oracle_ok : bool option;  (** [Some ok] when run with [~oracle:true] *)
 }
 
-val run :
+val run_frozen :
   ?pool:Pan_runner.Pool.t ->
   ?retries:int ->
   ?deadline:float ->
   ?oracle:bool ->
   ?mechanism:mechanism ->
   config ->
-  Graph.t ->
+  Compact.t ->
   result
-(** Run the marketplace on (a private copy of the link state of) [g].
+(** Run the marketplace from a frozen core (never mutated).
     [retries]/[deadline] supervise the negotiation sweeps exactly as in
     {!Pan_runner.Task.map_reduce}.  [mechanism] (default [Bosco], which
     is byte-identical to the PR 9 behavior) selects the qualifier; see
@@ -115,6 +119,12 @@ val run :
     under injected faults with retries.
     @raise Invalid_argument if [epochs < 1], [w < 1], [chunk < 1],
     [max_demands < 1], or the candidate bounds are invalid. *)
+
+val run :
+  ?pool:Pan_runner.Pool.t -> ?retries:int -> ?deadline:float ->
+  ?oracle:bool -> ?mechanism:mechanism -> config -> Graph.t -> result
+(** [run_frozen] of [Compact.freeze g]; kept only until the repository
+    benchmark calls {!run_frozen}. *)
 
 val pp : Format.formatter -> result -> unit
 (** Human-readable per-epoch lines plus totals (stable formatting; the

@@ -16,10 +16,8 @@ let theta = 0.5
 let of_outcome (o : Negotiate.outcome) =
   { cand = o.Negotiate.cand; u_x = o.Negotiate.u_x; u_y = o.Negotiate.u_y }
 
-let score_pair ~graph ~topo ~seed ~epoch ~max_demands cand =
-  let u_x, u_y =
-    Negotiate.score_pair ~graph ~topo ~seed ~epoch ~max_demands cand
-  in
+let score_pair ~topo ~seed ~epoch ~max_demands cand =
+  let u_x, u_y = Negotiate.score_pair ~topo ~seed ~epoch ~max_demands cand in
   { cand; u_x; u_y }
 
 (* Global bargaining in one batch pass: every candidate's Nash outcome

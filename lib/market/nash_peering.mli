@@ -19,8 +19,9 @@
     {!Negotiate.negotiate_pair} exactly, both mechanisms see identical
     candidate streams and identical pair randomness — mechanism
     differences in welfare or Price of Dishonesty are attributable to
-    the qualifier, never to noise ({!Market.run} [~mechanism:Both]
-    exploits this to compare them on one epoch snapshot). *)
+    the qualifier, never to noise ({!Market.run_frozen}
+    [~mechanism:Both] exploits this to compare them on one epoch
+    snapshot). *)
 
 open Pan_topology
 
@@ -49,15 +50,14 @@ val of_outcome : Negotiate.outcome -> score
     mechanism scores the shared candidate stream for free. *)
 
 val score_pair :
-  graph:Graph.t ->
   topo:Compact.t ->
   seed:int ->
   epoch:int ->
   max_demands:int ->
   Candidates.t ->
   score
-(** Score one candidate without negotiating it
-    ({!Negotiate.score_pair}); bit-identical utilities to a full
+(** Score one candidate of the frozen core [topo] without negotiating
+    it ({!Negotiate.score_pair}); bit-identical utilities to a full
     negotiation of the same candidate. *)
 
 val qualify : score array -> verdict array

@@ -34,96 +34,6 @@ type outcome = {
 
 let forecast_levels = [| 0.25; 0.5; 0.75; 1.0 |]
 
-(* What [via] offers the gaining side: its providers and peers that are
-   not already customers of (or identical to) the gaining side — the
-   same filter as Path_enum_compact.ma_gain, classified back into grant
-   components so Agreement validation sees subsets of [via]'s actual
-   neighbor sets. *)
-let grant_for topo ~side ~via =
-  let asn i = Compact.id topo i in
-  let keep z = z <> side && not (Compact.mem_customer topo side z) in
-  let providers = ref Asn.Set.empty and peers = ref Asn.Set.empty in
-  Compact.iter_providers topo via (fun z ->
-      if keep z then providers := Asn.Set.add (asn z) !providers);
-  Compact.iter_peers topo via (fun z ->
-      if keep z then peers := Asn.Set.add (asn z) !peers);
-  {
-    Agreement.providers = !providers;
-    peers = !peers;
-    customers = Asn.Set.empty;
-  }
-
-(* Deterministic per-AS business conditions, the Adoption recipe with a
-   market-keyed seed stream: varied transit/stub pricing and internal
-   cost rates are what make some agreements viable and others not. *)
-let business_of ~seed g x =
-  let rng = Rng.create (Hashtbl.hash (seed, Asn.to_int x, "market-biz")) in
-  let transit = Pricing.per_usage ~unit_price:(Rng.uniform rng 0.7 1.3) in
-  let stub =
-    if Rng.float rng < 0.4 then Pricing.flat_rate ~fee:20.0
-    else Pricing.per_usage ~unit_price:(Rng.uniform rng 1.2 2.5)
-  in
-  let internal = Cost.linear ~rate:(Rng.uniform rng 0.05 0.7) in
-  Business.of_graph ~default_transit:transit ~default_internal:internal
-    ~stub_price:stub g x
-
-let baseline_of g x =
-  let entries =
-    Asn.Set.fold
-      (fun y acc ->
-        let v =
-          2.0 *. sqrt (float_of_int (Graph.degree g x * Graph.degree g y))
-        in
-        (y, v) :: acc)
-      (Graph.neighbors g x) []
-  in
-  let stub_volume = 4.0 +. float_of_int (Graph.degree g x) in
-  Flows.of_list ((Flows.stub x, stub_volume) :: entries)
-
-(* Forecast demands for one side: the partner's providers first (the
-   headline MA case), then peers, in degree order. *)
-let demands_for ~rng ~max_demands g ~beneficiary ~transit ~granted =
-  let providers, peers =
-    Asn.Set.partition
-      (fun z -> Asn.Set.mem z (Graph.providers g transit))
-      granted
-  in
-  let by_degree set =
-    Asn.Set.elements set
-    |> List.map (fun z -> (Graph.degree g z, z))
-    |> List.sort (fun (d1, z1) (d2, z2) ->
-           match compare d2 d1 with 0 -> Asn.compare z1 z2 | c -> c)
-    |> List.map snd
-  in
-  let dests =
-    by_degree providers @ by_degree peers
-    |> List.filteri (fun i _ -> i < max_demands)
-  in
-  let providers = Graph.providers g beneficiary in
-  let reroute_from =
-    if Asn.Set.is_empty providers then None
-    else Some (Asn.Set.min_elt providers)
-  in
-  let provider_traffic =
-    4.0 *. sqrt (float_of_int (Graph.degree g beneficiary))
-  in
-  List.map
-    (fun z ->
-      let share = Rng.uniform rng 0.05 0.3 in
-      let reroutable =
-        if reroute_from = None then 0.0 else provider_traffic *. share
-      in
-      Traffic_model.
-        {
-          beneficiary;
-          transit;
-          dest = z;
-          reroutable;
-          reroute_from;
-          attracted_max = reroutable *. Rng.uniform rng 0.2 0.8;
-        })
-    dests
-
 (* Score the agreement economically: all forecast levels in one batch
    kernel call, best surplus (ties: lowest level) fixes the utilities a
    cash-compensation bargain starts from. *)
@@ -160,48 +70,38 @@ let score_best ~econ_ws model =
    into BOSCO; [score_pair] stops here.  Because both run exactly these
    operations in this order, the Nash-Peering qualifier and the BOSCO
    path see bit-identical utilities and pair randomness for the same
-   candidate stream. *)
-let pair_context ~graph ~topo ~seed ~epoch ~max_demands cand =
+   candidate stream.  The scenario reads the frozen core itself, through
+   its neighbor view. *)
+let pair_context ~topo ~seed ~epoch ~max_demands cand =
   let ar = arena () in
-  let ix = cand.Candidates.x and iy = cand.Candidates.y in
-  let x = Compact.id topo ix and y = Compact.id topo iy in
+  let x = Compact.id topo cand.Candidates.x
+  and y = Compact.id topo cand.Candidates.y in
   let rng =
     Rng.create
       (Hashtbl.hash (seed, epoch, Asn.to_int x, Asn.to_int y, "market-pair"))
   in
-  let x_grant = grant_for topo ~side:iy ~via:ix in
-  let y_grant = grant_for topo ~side:ix ~via:iy in
-  let agreement = Agreement.make_exn graph ~x ~y ~x_grant ~y_grant in
-  let demands =
-    demands_for ~rng ~max_demands graph ~beneficiary:x ~transit:y
-      ~granted:(Agreement.accessible agreement ~to_:x)
-    @ demands_for ~rng ~max_demands graph ~beneficiary:y ~transit:x
-        ~granted:(Agreement.accessible agreement ~to_:y)
+  let v = Compact.view topo in
+  let agreement =
+    Agreement.make_exn v ~x ~y ~x_grant:(Agreement.ma_grant v x ~other:y)
+      ~y_grant:(Agreement.ma_grant v y ~other:x)
   in
   let scenario =
-    Traffic_model.make_scenario_exn ~graph ~agreement
-      ~businesses:
-        [ (x, business_of ~seed graph x); (y, business_of ~seed graph y) ]
-      ~baseline:[ (x, baseline_of graph x); (y, baseline_of graph y) ]
-      ~demands
+    Scenario_gen.ma_scenario ~key:"market-biz" ~seed ~rng ~max_demands v
+      agreement
   in
   let model = Model_fast.compile scenario in
   let u_x, u_y = score_best ~econ_ws:ar.econ model in
   (rng, u_x, u_y)
 
-let score_pair ~graph ~topo ~seed ~epoch ~max_demands cand =
-  let _rng, u_x, u_y =
-    pair_context ~graph ~topo ~seed ~epoch ~max_demands cand
-  in
+let score_pair ~topo ~seed ~epoch ~max_demands cand =
+  let _rng, u_x, u_y = pair_context ~topo ~seed ~epoch ~max_demands cand in
   Obs.incr "market.scored";
   (u_x, u_y)
 
-let negotiate_pair ~graph ~topo ~seed ~epoch ~w ~max_demands ~truthful ~dist
-    cand =
+let negotiate_pair ?graph:_ ~topo ~seed ~epoch ~w ~max_demands ~truthful
+    ~dist cand =
   let ar = arena () in
-  let rng, u_x, u_y =
-    pair_context ~graph ~topo ~seed ~epoch ~max_demands cand
-  in
+  let rng, u_x, u_y = pair_context ~topo ~seed ~epoch ~max_demands cand in
   Obs.incr "market.pairs";
   if not (Nash.viable ~u_x ~u_y) then
     {

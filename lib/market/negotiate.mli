@@ -3,9 +3,11 @@
     Each candidate pair is taken through the full §IV pipeline:
 
     + build the mutuality agreement the pair would sign (each side
-      grants its providers and peers that are not already customers of
-      the other side — the {!Candidates} gain sets);
-    + forecast segment demands and score the agreement economically with
+      grants its {!Pan_econ.Agreement.ma_grant} — the {!Candidates} gain
+      sets) and its scenario ({!Pan_econ.Scenario_gen.ma_scenario}, the
+      adoption experiment's recipe), both reading the frozen core
+      through {!Pan_topology.Compact.view};
+    + score the scenario's forecast demands economically with
       the batched {!Pan_econ.Model_fast} kernel: the forecast levels
       (fractions of the maximal choice) are evaluated in {e one} batch
       call against per-domain scratch, and the best-surplus level fixes
@@ -50,7 +52,6 @@ val forecast_levels : float array
     [Model_fast.utilities_batch] call), ascending. *)
 
 val score_pair :
-  graph:Graph.t ->
   topo:Compact.t ->
   seed:int ->
   epoch:int ->
@@ -66,7 +67,7 @@ val score_pair :
     [market.scored]. *)
 
 val negotiate_pair :
-  graph:Graph.t ->
+  ?graph:Graph.t ->
   topo:Compact.t ->
   seed:int ->
   epoch:int ->
@@ -76,7 +77,8 @@ val negotiate_pair :
   dist:Distribution.t ->
   Candidates.t ->
   outcome
-(** [graph] is the mutable mirror of [topo] (same links); [truthful] is
-    the shared truthful-benchmark value for [dist] (computed once per
-    run, see {!Pan_bosco.Efficiency.expected_nash_truthful}); [w] is the
-    BOSCO choice-set size.  Uses the calling domain's {!arena}. *)
+(** [truthful] is the shared truthful-benchmark value for [dist]
+    (computed once per run, see
+    {!Pan_bosco.Efficiency.expected_nash_truthful}); [w] is the BOSCO
+    choice-set size.  Uses the calling domain's {!arena}.  [graph] is
+    ignored; it stays until the repository benchmark stops passing it. *)

@@ -87,7 +87,8 @@ let event_of_item topo = function
   | Stream.Query _ | Stream.Intent_query _ ->
       invalid_arg "Serve.event_of_item: a query is not a churn event"
 
-let run ?pool ?retries ?deadline ?(oracle = false) ~mode ~topo stream =
+let run ?pool ?retries ?deadline ?(oracle = false) ?(mode = Engine.Incremental)
+    ~topo stream =
   let engine = Engine.create ~mode topo in
   let shadow =
     if oracle then Some (Engine.create ~mode:Engine.Refreeze topo) else None

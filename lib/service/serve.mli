@@ -58,10 +58,11 @@ val run :
   ?retries:int ->
   ?deadline:float ->
   ?oracle:bool ->
-  mode:Engine.mode ->
+  ?mode:Engine.mode ->
   topo:Compact.t ->
   Stream.t ->
   outcome
-(** @raise Invalid_argument on a stream item naming an AS not in the
+(** [mode] defaults to [Incremental].
+    @raise Invalid_argument on a stream item naming an AS not in the
     topology or an event not applicable in sequence.
     @raise Failure on oracle divergence. *)

@@ -150,6 +150,23 @@ let pp_stats fmt t =
     "%d ASes interned, %d provider-customer + %d peering links (CSR)"
     (num_ases t) t.n_p2c t.n_p2p
 
+let view t =
+  let row off adj x =
+    match index_of t x with
+    | None -> Asn.Set.empty
+    | Some i ->
+        let l = ref [] in
+        row_iter off adj i (fun j -> l := t.ids.(j) :: !l);
+        Asn.Set.of_list !l
+  in
+  {
+    Graph.providers = row t.prov_off t.prov_adj;
+    peers = row t.peer_off t.peer_adj;
+    customers = row t.cust_off t.cust_adj;
+    degree =
+      (fun x -> match index_of t x with None -> 0 | Some i -> degree t i);
+  }
+
 let thaw t =
   let g = Graph.create () in
   Array.iter (fun x -> Graph.add_as g x) t.ids;
@@ -455,7 +472,8 @@ module Snapshot = struct
 
   let read_int_array cur =
     let n = read_u64 cur in
-    if cur.pos + (8 * n) > cur.limit then
+    (* [8 * n] could overflow; the division cannot *)
+    if n > (cur.limit - cur.pos) / 8 then
       err "truncated payload (array of %d words at byte offset %d)" n cur.pos;
     Array.init n (fun _ -> read_u64 cur)
 
@@ -479,7 +497,7 @@ module Snapshot = struct
   let decode_core s pos limit =
     let cur = { s; pos; limit } in
     let n = read_u64 cur in
-    if cur.pos + (8 * n) > cur.limit then
+    if n > (cur.limit - cur.pos) / 8 then
       err "truncated payload (ASN table of %d entries at byte offset %d)" n
         cur.pos;
     let ids = Array.init n (fun _ -> Asn.of_int (read_u64 cur)) in
@@ -544,6 +562,8 @@ module Snapshot = struct
       err "unsupported format version %d (this build reads version %d)"
         version format_version;
     let n_sections = Int32.to_int (String.get_int32_le s 12) in
+    if n_sections < 0 then
+      err "negative section count %d at byte offset 12" n_sections;
     let payload_len = Int64.to_int (String.get_int64_le s 16) in
     let digest = String.sub s 24 16 in
     if String.length s - header_len < payload_len then

@@ -87,6 +87,10 @@ val iter_provider_customer_links :
 
 val pp_stats : Format.formatter -> t -> unit
 
+val view : t -> Graph.view
+(** The ASN-level neighbor view: each query interns the AS (binary
+    search), then turns a row into a set, or answers [degree] in O(1). *)
+
 val thaw : t -> Graph.t
 (** Rebuild an equivalent mutable builder: every interned AS registered,
     every link re-added.  [freeze (thaw t)] is byte-identical to [t]

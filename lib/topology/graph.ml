@@ -134,14 +134,19 @@ let fold_provider_customer_links f g init =
         acc)
     g.known init
 
-let copy g =
+type view = {
+  providers : Asn.t -> Asn.Set.t;
+  peers : Asn.t -> Asn.Set.t;
+  customers : Asn.t -> Asn.Set.t;
+  degree : Asn.t -> int;
+}
+
+let view g =
   {
-    providers = Hashtbl.copy g.providers;
-    peers = Hashtbl.copy g.peers;
-    customers = Hashtbl.copy g.customers;
-    known = g.known;
-    n_p2c = g.n_p2c;
-    n_p2p = g.n_p2p;
+    providers = providers g;
+    peers = peers g;
+    customers = customers g;
+    degree = degree g;
   }
 
 let pp_stats fmt g =

@@ -85,7 +85,18 @@ val fold_provider_customer_links :
 (** Deterministic, insertion-independent order: providers ascending,
     customers ascending within each provider. *)
 
-val copy : t -> t
+(** A read-only neighbor view, whatever holds the links: a {!t} ({!view})
+    or a frozen core ([Compact.view]).  Unknown ASes have empty sets and
+    degree 0.  The econ scenario builders read topologies through it. *)
+type view = {
+  providers : Asn.t -> Asn.Set.t;
+  peers : Asn.t -> Asn.Set.t;
+  customers : Asn.t -> Asn.Set.t;
+  degree : Asn.t -> int;
+}
+
+val view : t -> view
+(** The live view of [g]: later mutations of [g] are seen. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: number of ASes and links of each kind. *)

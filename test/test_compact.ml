@@ -352,6 +352,42 @@ let test_counts_on_fig1 () =
 (* ------------------------------------------------------------------ *)
 (* Versioned binary snapshots                                          *)
 
+(* The neighbor view the econ builders read answers the same from the
+   builder and from its frozen core, for every AS and for one the
+   topology does not know (empty sets, degree 0). *)
+let qcheck_view_equivalence =
+  QCheck.Test.make ~count:30 ~name:"Compact.view = Graph.view"
+    QCheck.(triple (int_range 1 10_000) (int_range 20 300) (int_range 0 6))
+    (fun (seed, size, hubs) ->
+      let n_transit = Int.max 1 ((size - 12) / 5) in
+      let params =
+        {
+          Gen.default_params with
+          Gen.n_tier1 = 12;
+          n_transit;
+          n_stub = size - 12 - n_transit;
+          route_server_hubs = hubs;
+        }
+      in
+      let g = Gen.graph (Gen.generate ~params ~seed ()) in
+      let gv = Graph.view g and cv = Compact.view (Compact.freeze g) in
+      let ases = Graph.ases g in
+      let unknown =
+        Asn.of_int
+          (1 + List.fold_left (fun m x -> Int.max m (Asn.to_int x)) 0 ases)
+      in
+      let same x =
+        Asn.Set.equal (gv.Graph.providers x) (cv.Graph.providers x)
+        && Asn.Set.equal (gv.Graph.peers x) (cv.Graph.peers x)
+        && Asn.Set.equal (gv.Graph.customers x) (cv.Graph.customers x)
+        && gv.Graph.degree x = cv.Graph.degree x
+      in
+      List.for_all same (unknown :: ases)
+      && cv.Graph.degree unknown = 0
+      && Asn.Set.is_empty (cv.Graph.providers unknown)
+      && Asn.Set.is_empty (cv.Graph.peers unknown)
+      && Asn.Set.is_empty (cv.Graph.customers unknown))
+
 (* Serialized equality is the strongest practical equality for the
    frozen view: identical interning tables, CSR arrays and counts. *)
 let frozen_equal a b =
@@ -490,10 +526,39 @@ let test_snapshot_corruption_offsets () =
     (make_image ~n_sections:1 (section "core" 8 huge_table))
     "Compact.Snapshot.load: truncated payload (ASN table of 1000 entries \
      at byte offset 62)";
+  (* lengths whose byte size [8 * n] overflows to a negative int; one
+     more word follows, so a decoder that passes the bound check reads
+     the first element and then fails to allocate *)
+  let u64 n =
+    let b = Buffer.create 8 in
+    Buffer.add_int64_le b (Int64.of_int n);
+    Buffer.contents b
+  in
+  List.iter
+    (fun n ->
+      expect_invalid
+        (Printf.sprintf "ASN table of %d entries" n)
+        (make_image ~n_sections:1 (section "core" 16 (u64 n ^ u64 0)))
+        (Printf.sprintf
+           "Compact.Snapshot.load: truncated payload (ASN table of %d \
+            entries at byte offset 62)"
+           n))
+    [ (1 lsl 59) + 1; 1 lsl 60 ];
+  expect_invalid "offset array of 2^60 words"
+    (make_image ~n_sections:1
+       (section "core" 24 (u64 0 ^ u64 (1 lsl 60) ^ u64 0)))
+    (Printf.sprintf
+       "Compact.Snapshot.load: truncated payload (array of %d words at \
+        byte offset 70)"
+       (1 lsl 60));
   (* trailing garbage after the declared sections *)
   let c = Compact.freeze (Caida.of_string caida_sample) in
   let image = Compact.Snapshot.to_string c in
   let payload = String.sub image 40 (String.length image - 40) in
+  (* the section count is outside the checksum: 0xFFFFFFFF reads as -1 *)
+  expect_invalid "section count 0xFFFFFFFF"
+    (make_image ~n_sections:(-1) payload)
+    "Compact.Snapshot.load: negative section count -1 at byte offset 12";
   expect_invalid "trailing bytes after last section"
     (make_image ~n_sections:1 (payload ^ "x"))
     (Printf.sprintf
@@ -514,6 +579,7 @@ let suite =
     Alcotest.test_case "membership and link iteration" `Quick
       test_membership_and_links;
     Alcotest.test_case "freeze is a snapshot" `Quick test_freeze_is_snapshot;
+    QCheck_alcotest.to_alcotest qcheck_view_equivalence;
     QCheck_alcotest.to_alcotest qcheck_scenario_equivalence;
     QCheck_alcotest.to_alcotest qcheck_primitive_equivalence;
     QCheck_alcotest.to_alcotest qcheck_concluded_equivalence;

@@ -197,7 +197,7 @@ let test_business_validation () =
 let test_business_of_graph () =
   let g = Gen.fig1 () in
   let d = Gen.fig1_asn 'D' in
-  let b = Business.of_graph g d in
+  let b = Business.of_graph (Graph.view g) d in
   Alcotest.(check (list int)) "providers from graph"
     [ Asn.to_int (Gen.fig1_asn 'A') ]
     (List.map Asn.to_int (Business.providers b));

@@ -48,7 +48,7 @@ let degenerate_scenario () =
       ~customer_prices:[ (Flows.stub e, transit) ]
       ()
   in
-  Traffic_model.make_scenario_exn ~graph:g
+  Traffic_model.make_scenario_exn
     ~agreement:(Agreement.paper_example g)
     ~businesses:[ (d, business_d); (e, business_e) ]
     ~baseline:

@@ -107,14 +107,6 @@ let test_fold_p2c_links () =
   in
   Alcotest.(check (list (pair int int))) "p2c links" [ (1, 2); (1, 3) ] links
 
-let test_copy_isolation () =
-  let g = small () in
-  let g' = Graph.copy g in
-  Graph.add_peering g' (asn 1) (asn 50);
-  Alcotest.(check bool) "copy modified" true (Graph.mem g' (asn 50));
-  Alcotest.(check bool) "original untouched" false (Graph.mem g (asn 50));
-  Alcotest.(check int) "original peering count" 1 (Graph.num_peering_links g)
-
 let test_fold_order_insertion_independent () =
   (* The folds iterate the sorted AS set, not the underlying hash tables,
      so two graphs with the same links added in different orders must
@@ -179,7 +171,6 @@ let suite =
     Alcotest.test_case "isolated AS" `Quick test_isolated_as;
     Alcotest.test_case "fold peering links" `Quick test_fold_peering_links;
     Alcotest.test_case "fold p2c links" `Quick test_fold_p2c_links;
-    Alcotest.test_case "copy isolation" `Quick test_copy_isolation;
     Alcotest.test_case "fold order insertion-independent" `Quick
       test_fold_order_insertion_independent;
     Alcotest.test_case "ases sorted" `Quick test_ases_sorted;

@@ -129,7 +129,7 @@ let test_negotiate_pair_deterministic () =
   let dist = Pan_numerics.Distribution.uniform (-1.0) 1.0 in
   let truthful = 1.0 /. 12.0 in
   let once i =
-    Negotiate.negotiate_pair ~graph:g ~topo ~seed:5 ~epoch:1 ~w:8
+    Negotiate.negotiate_pair ~topo ~seed:5 ~epoch:1 ~w:8
       ~max_demands:3 ~truthful ~dist cands.(i)
   in
   for i = 0 to Int.min 4 (Array.length cands - 1) do
@@ -269,8 +269,7 @@ let test_qualifier_oracle () =
       let cands = Candidates.enumerate ~min_gain:1 ~max_candidates:64 topo in
       let scores =
         Array.map
-          (Nash_peering.score_pair ~graph:g ~topo ~seed ~epoch:1
-             ~max_demands:3)
+          (Nash_peering.score_pair ~topo ~seed ~epoch:1 ~max_demands:3)
           cands
       in
       let v = Nash_peering.qualify scores in
@@ -349,17 +348,25 @@ let test_both_mode_arms () =
 (* Bench parts 13 and 14 at smoke scale, whose fingerprints
    BENCH_market.json and BENCH_market_mech.json record: two epochs of
    up to 384 candidates at W = 24 on the 206-AS graph, at -j1. *)
-let bench_smoke_fingerprint mechanism =
-  let g = gen_graph ~n_transit:24 ~n_stub:170 42 in
-  let cfg =
-    { Market.default with Market.epochs = 2; w = 24; max_candidates = 384;
-      chunk = 8 }
-  in
-  (Market.run ~mechanism cfg g).Market.fingerprint
+let bench_smoke_graph () = gen_graph ~n_transit:24 ~n_stub:170 42
 
+let bench_smoke_config =
+  { Market.default with Market.epochs = 2; w = 24; max_candidates = 384;
+    chunk = 8 }
+
+let bench_smoke_fingerprint mechanism =
+  (Market.run ~mechanism bench_smoke_config (bench_smoke_graph ()))
+    .Market.fingerprint
+
+(* The graph entry point and the frozen-core one run the same market. *)
 let test_market_golden () =
   Alcotest.(check string) "fingerprint" "a6f1ac931c6ba8cb4dab55dc4fa3cd70"
-    (bench_smoke_fingerprint Market.Bosco)
+    (bench_smoke_fingerprint Market.Bosco);
+  Alcotest.(check string) "run_frozen fingerprint"
+    "a6f1ac931c6ba8cb4dab55dc4fa3cd70"
+    (Market.run_frozen bench_smoke_config
+       (Compact.freeze (bench_smoke_graph ())))
+      .Market.fingerprint
 
 let test_market_mech_golden () =
   Alcotest.(check string) "fingerprint" "327987d80ac3b04f31587aaa4e3c282a"

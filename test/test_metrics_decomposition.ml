@@ -155,9 +155,9 @@ let test_peering_scenario_eq45 () =
   Alcotest.(check bool) "both utilities positive" true
     (dx.Decomposition.utility > 0.0 && dy.Decomposition.utility > 0.0);
   (* peering conforms to the GRC, unlike the Eq. 6 agreement *)
-  let g', s' = Scenario_gen.fig1_peering_scenario () in
+  let _, s' = Scenario_gen.fig1_peering_scenario () in
   Alcotest.(check bool) "GRC-conforming" false
-    (Agreement.violates_grc g' (Traffic_model.agreement s'))
+    (Agreement.violates_grc (Traffic_model.agreement s'))
 
 let test_peering_can_be_unattractive () =
   (* the paper's flip side (§III-B1): a substantial internal-cost increase

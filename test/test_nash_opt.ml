@@ -146,7 +146,7 @@ let test_flow_volume_degenerates_when_one_sided () =
       ]
   in
   let s =
-    Traffic_model.make_scenario_exn ~graph:g ~agreement
+    Traffic_model.make_scenario_exn ~agreement
       ~businesses:[ (d, business_d); (e, business_e) ]
       ~baseline:[ (d, baseline_d); (e, baseline_e) ]
       ~demands
@@ -158,10 +158,10 @@ let test_flow_volume_empty_demands () =
   let g = Pan_topology.Gen.fig1 () in
   let d = Pan_topology.Gen.fig1_asn 'D'
   and e = Pan_topology.Gen.fig1_asn 'E' in
+  let v = Pan_topology.Graph.view g in
   let s =
-    Traffic_model.make_scenario_exn ~graph:g
-      ~agreement:(Agreement.paper_example g)
-      ~businesses:[ (d, Business.of_graph g d); (e, Business.of_graph g e) ]
+    Traffic_model.make_scenario_exn ~agreement:(Agreement.paper_example g)
+      ~businesses:[ (d, Business.of_graph v d); (e, Business.of_graph v e) ]
       ~baseline:[ (d, Flows.empty); (e, Flows.empty) ]
       ~demands:[]
   in

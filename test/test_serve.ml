@@ -449,7 +449,7 @@ let test_transcript_rendering () =
        up peer AS2 AS3\n\
        query AS4 AS3 grc\n"
   in
-  let out = Serve.run ~mode:Engine.Incremental ~oracle:true ~topo stream in
+  let out = Serve.run ~oracle:true ~topo stream in
   Alcotest.(check string) "transcript"
     "AS4 -> AS3 [grc]: 1 path via AS2\n\
      link down peer AS2 -- AS3: invalidated 1 store entry\n\
@@ -511,7 +511,7 @@ let test_intent_drain_golden () =
     Stream.generate ~intent:k8 ~rng:(Rng.create 44) ~topo ~requests:1500
       ~churn:0.02 ()
   in
-  let out = Serve.run ~mode:Engine.Incremental ~topo stream in
+  let out = Serve.run ~topo stream in
   Alcotest.(check string) "fingerprint" "952c05c6aebe80889bd8f05d7f0f0238"
     out.Serve.fingerprint
 
@@ -522,7 +522,7 @@ let test_serve_drain_golden () =
   let stream =
     Stream.generate ~rng:(Rng.create 44) ~topo ~requests:3000 ~churn:0.02 ()
   in
-  let out = Serve.run ~mode:Engine.Incremental ~topo stream in
+  let out = Serve.run ~topo stream in
   Alcotest.(check string) "fingerprint" "4fc3101bc524f6d411b9570b5ac603da"
     out.Serve.fingerprint
 
@@ -545,10 +545,10 @@ let stats_equal a b =
 
 let test_serve_jobs_equal () =
   let topo, stream = serve_fixture () in
-  let base = Serve.run ~mode:Engine.Incremental ~topo stream in
+  let base = Serve.run ~topo stream in
   let par =
     Pan_runner.Pool.with_pool ~domains:4 (fun pool ->
-        Serve.run ~pool ~mode:Engine.Incremental ~topo stream)
+        Serve.run ~pool ~topo stream)
   in
   Alcotest.(check string) "-j1 = -j4 transcript" base.Serve.transcript
     par.Serve.transcript;
@@ -557,7 +557,7 @@ let test_serve_jobs_equal () =
 
 let test_serve_faults_equal () =
   let topo, stream = serve_fixture () in
-  let base = Serve.run ~mode:Engine.Incremental ~topo stream in
+  let base = Serve.run ~topo stream in
   let faulty =
     Pan_runner.Fault.set
       (Some
@@ -567,7 +567,7 @@ let test_serve_faults_equal () =
       ~finally:(fun () -> Pan_runner.Fault.set None)
       (fun () ->
         Pan_runner.Pool.with_pool ~domains:4 (fun pool ->
-            Serve.run ~pool ~retries:6 ~mode:Engine.Incremental ~topo stream))
+            Serve.run ~pool ~retries:6 ~topo stream))
   in
   Alcotest.(check string) "fault-injected run is byte-identical"
     base.Serve.transcript faulty.Serve.transcript;
@@ -576,7 +576,7 @@ let test_serve_faults_equal () =
 
 let test_serve_mode_equal () =
   let topo, stream = serve_fixture () in
-  let inc = Serve.run ~mode:Engine.Incremental ~topo stream in
+  let inc = Serve.run ~topo stream in
   let refr = Serve.run ~mode:Engine.Refreeze ~topo stream in
   Alcotest.(check string) "incremental = refreeze transcript"
     inc.Serve.transcript refr.Serve.transcript

@@ -10,7 +10,7 @@ let a = Gen.fig1_asn
 let scenario () = snd (Scenario_gen.fig1_scenario ())
 
 let test_validation () =
-  let g, s = Scenario_gen.fig1_scenario () in
+  let s = scenario () in
   let agreement = Traffic_model.agreement s in
   let d = a 'D' and e = a 'E' in
   let bad_demand =
@@ -26,7 +26,7 @@ let test_validation () =
       }
   in
   match
-    Traffic_model.make_scenario ~graph:g ~agreement
+    Traffic_model.make_scenario ~agreement
       ~businesses:
         [ (d, Traffic_model.business s d); (e, Traffic_model.business s e) ]
       ~baseline:
