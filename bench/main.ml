@@ -1033,7 +1033,8 @@ let run_serve scale =
     "drain: incremental %.3f s (%.0f queries/s), refreeze %.3f s (%.1fx); \
      transcripts equal %b@."
     t_inc qps t_refr (t_refr /. t_inc) modes_equal;
-  (* Parallel prefill must not change a byte of the transcript. *)
+  (* A pool must not change a byte of the transcript (the drain runs no
+     pool work, so this holds by construction). *)
   let par, _t_par =
     Pan_runner.Pool.with_pool ~domains:4 (fun pool ->
         time (fun () ->

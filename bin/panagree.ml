@@ -592,9 +592,9 @@ let serve_cmd =
   in
   let oracle_arg =
     let doc =
-      "Shadow every event with a full re-freeze engine and fail loudly \
-       if the incremental core ever diverges (frozen views are compared \
-       byte-for-byte)."
+      "After every event, re-freeze the pre-event core with the event \
+       applied and fail loudly if the incremental core ever diverges \
+       from it (frozen views are compared byte-for-byte)."
     in
     Arg.(value & flag & info [ "oracle" ] ~doc)
   in
@@ -610,7 +610,9 @@ let serve_cmd =
   in
   let run caida transit stubs seed ctx snapshot stream intent requests churn
       oracle =
-    with_run ctx @@ fun ~pool ~retries ~deadline ->
+    (* The drain runs no pool work: of the run flags, only the
+       observability ones apply. *)
+    with_obs ~metrics:ctx.metrics ~trace:ctx.trace @@ fun () ->
     let outcome =
       or_exit @@ fun () ->
       let topo = frozen_topology ~snapshot ~caida ~transit ~stubs ~seed in
@@ -628,7 +630,7 @@ let serve_cmd =
               (seed + 2) requests churn;
             s
       in
-      Serve.run ~pool ~retries ?deadline ~oracle ~topo items
+      Serve.run ~oracle ~topo items
     in
     Format.fprintf fmt "%s" outcome.Serve.transcript;
     let s = outcome.Serve.stats in
@@ -720,9 +722,9 @@ let market_cmd =
   in
   let oracle_arg =
     let doc =
-      "Shadow the marketplace with a full re-freeze engine that gets the \
-       same epoch batches, and compare its frozen core byte-for-byte with \
-       the incrementally-spliced one after every epoch."
+      "After every epoch, re-freeze the pre-epoch core with the epoch's \
+       signings applied and compare it byte-for-byte with the \
+       incrementally-spliced one."
     in
     Arg.(value & flag & info [ "oracle" ] ~doc)
   in

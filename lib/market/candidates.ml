@@ -3,22 +3,9 @@ module Obs = Pan_obs.Obs
 
 type t = { x : int; y : int; gain_x : int; gain_y : int }
 
-(* |(providers(via) ∪ peers(via)) \ customers(side) \ {side}| counted
-   straight off the CSR rows: the two classes are disjoint (a pair is
-   linked in at most one class), so no dedup set is needed, and customer
-   membership is a binary search per element — no bitset allocation on
-   the enumeration hot path. *)
-let gain_via topo ~side ~via =
-  let g = ref 0 in
-  let count z =
-    if z <> side && not (Compact.mem_customer topo side z) then incr g
-  in
-  Compact.iter_providers topo via count;
-  Compact.iter_peers topo via count;
-  !g
-
 let gains topo x y =
-  (gain_via topo ~side:x ~via:y, gain_via topo ~side:y ~via:x)
+  ( Path_enum_compact.ma_gain_count topo ~side:x ~via:y,
+    Path_enum_compact.ma_gain_count topo ~side:y ~via:x )
 
 (* Total gain descending, then (x, y) ascending: a total order, so the
    top-K under it is unique.  The ranking sum saturates: adversarial gain
@@ -104,9 +91,9 @@ let enumerate ?(min_gain = 1) ?(max_candidates = 4096) topo =
       if not (Compact.connected topo a b) then begin
         incr evaluated;
         let x = min a b and y = max a b in
-        let gx = gain_via topo ~side:x ~via:y in
+        let gx = Path_enum_compact.ma_gain_count topo ~side:x ~via:y in
         if gx >= min_gain then begin
-          let gy = gain_via topo ~side:y ~via:x in
+          let gy = Path_enum_compact.ma_gain_count topo ~side:y ~via:x in
           if gy >= min_gain then
             offer { x; y; gain_x = gx; gain_y = gy }
         end

@@ -8,7 +8,8 @@
     keeps the pair universe near-linear instead of quadratic); the gain
     of each side is the §VI mutuality count — the counterparty's
     providers and peers that are not already customers of the gaining
-    side — computed directly on the CSR rows without materializing the
+    side — is {!Pan_topology.Path_enum_compact.ma_gain_count}, computed
+    on the CSR rows without materializing the
     {!Pan_topology.Path_enum_compact.ma_gain} bitsets.
 
     Only the best [max_candidates] pairs are wanted, so enumeration is a
@@ -30,8 +31,9 @@ type t = {
 }
 
 val gains : Compact.t -> int -> int -> int * int
-(** [(gain_x, gain_y)] of the pair; exact per-side cardinalities of the
-    MA gain sets ([Path_enum_compact.ma_gain] both ways). *)
+(** [(gain_x, gain_y)] of the pair:
+    {!Pan_topology.Path_enum_compact.ma_gain_count} both ways, the exact
+    per-side cardinalities of the MA gain sets. *)
 
 val compare_candidates : t -> t -> int
 (** Total gain descending, ties broken by ascending [(x, y)] — the order

@@ -125,10 +125,6 @@ let run_frozen ?pool ?retries ?deadline ?(oracle = false) ?(mechanism = Bosco)
   check_config config;
   Obs.with_span "market/run" @@ fun () ->
   let engine = Engine.create topo in
-  (* The oracle: a re-freeze engine that gets the same epoch batches. *)
-  let shadow =
-    if oracle then Some (Engine.create ~mode:Engine.Refreeze topo) else None
-  in
   let dist = Distribution.uniform (-1.0) 1.0 in
   (* One truthful benchmark shared by every negotiation (they all
      bargain over the same normalized utility distribution). *)
@@ -301,15 +297,13 @@ let run_frozen ?pool ?retries ?deadline ?(oracle = false) ?(mechanism = Bosco)
           signed_o
       in
       let invalidated = Engine.apply_batch engine events in
-      Option.iter
-        (fun shadow ->
-          ignore (Engine.apply_batch shadow events : int);
-          oracle_ok :=
-            !oracle_ok
-            && String.equal
-                 (Compact.Snapshot.to_string (Engine.topology engine))
-                 (Compact.Snapshot.to_string (Engine.topology shadow)))
-        shadow;
+      (* The oracle: the epoch's core re-frozen with the batch applied. *)
+      if oracle then
+        oracle_ok :=
+          !oracle_ok
+          && String.equal
+               (Compact.Snapshot.to_string (Engine.topology engine))
+               (Compact.Snapshot.to_string (Engine.refreeze topo events));
       List.iter
         (fun (o : Negotiate.outcome) ->
           let x = Compact.id topo o.Negotiate.cand.Candidates.x

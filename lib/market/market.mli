@@ -21,10 +21,12 @@
     welfare totals, the transcript fingerprint — is bit-identical for
     every pool size, chunk size, and under injected faults with retries
     (the PR 5 supervision contract).  The [oracle] flag additionally
-    feeds every epoch batch to a shadow [Refreeze] engine, as
-    [Serve.run] does per event, and requires byte-identical snapshots
-    ({!Pan_topology.Compact.Snapshot}), pinning the incremental splice
-    chain. *)
+    compares every epoch's spliced core with
+    {!Pan_service.Engine.refreeze} of the pre-epoch core and the epoch's
+    batch, as [Serve.run] does per event, and requires byte-identical
+    snapshots ({!Pan_topology.Compact.Snapshot}), pinning the
+    incremental splice chain.  It keeps no second engine, so the
+    [serve.*] counters are the same with and without it. *)
 
 open Pan_topology
 

@@ -19,9 +19,8 @@ type stats = {
   invalidated : int;
 }
 
-(* Memo keys use the scenario constructors directly: Ma_top carries only
-   an int, so structural hashing and equality are exact. *)
-type mid_key = int * Path_enum.scenario
+(* Store keys use the scenario constructors directly: Ma_top carries
+   only an int, so structural hashing and equality are exact. *)
 type store_key = int * int * Path_enum.scenario
 
 (* Intent answers are memoized under the canonical spec text: two
@@ -32,8 +31,6 @@ type istore_key = int * int * string
 type t = {
   mode : mode;
   mutable topo : Compact.t;
-  mids : (mid_key, Path_enum_compact.mid_sets) Hashtbl.t;
-  mid_keys : (int, Path_enum.scenario list ref) Hashtbl.t;
   store : (store_key, int list) Hashtbl.t;
   store_keys : (int, (int * Path_enum.scenario) list ref) Hashtbl.t;
   istore : (istore_key, Candidates.result list) Hashtbl.t;
@@ -94,8 +91,6 @@ let create ?(mode = Incremental) topo =
   {
     mode;
     topo;
-    mids = Hashtbl.create 256;
-    mid_keys = Hashtbl.create 256;
     store = Hashtbl.create 1024;
     store_keys = Hashtbl.create 256;
     istore = Hashtbl.create 256;
@@ -117,33 +112,15 @@ let check_index name t i =
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 
-let compute_mids topo src policy = Path_enum_compact.scenario_paths topo policy src
-
 let push_key keys src k =
   match Hashtbl.find_opt keys src with
   | Some l -> l := k :: !l
   | None -> Hashtbl.add keys src (ref [ k ])
 
-let mids_of t ~src ~policy =
-  match Hashtbl.find_opt t.mids (src, policy) with
-  | Some m -> m
-  | None ->
-      let m = compute_mids t.topo src policy in
-      Hashtbl.replace t.mids (src, policy) m;
-      push_key t.mid_keys src policy;
-      m
-
-let answer_of_mids mids dst =
-  let acc = ref [] in
-  Path_enum_compact.iter_sets
-    (fun mid dsts -> if Bitset.mem dsts dst then acc := mid :: !acc)
-    mids;
-  List.rev !acc
-
 let query_uncached t ~src ~dst ~policy =
   check_index "query_uncached" t src;
   check_index "query_uncached" t dst;
-  answer_of_mids (compute_mids t.topo src policy) dst
+  Path_enum_compact.pair_paths t.topo policy ~src ~dst
 
 let query t ~src ~dst ~policy =
   check_index "query" t src;
@@ -159,7 +136,7 @@ let query t ~src ~dst ~policy =
       | None ->
           t.store_misses <- t.store_misses + 1;
           Obs.incr "serve.store_misses";
-          let a = answer_of_mids (mids_of t ~src ~policy) dst in
+          let a = Path_enum_compact.pair_paths t.topo policy ~src ~dst in
           Hashtbl.replace t.store (src, dst, policy) a;
           push_key t.store_keys src (dst, policy);
           a)
@@ -215,35 +192,7 @@ let intent_query_uncached t ~src ~dst intent =
   Candidates.generate ~topo:t.topo ~metric:(Lazy.force t.ictx) intent
     ~src:(Compact.id t.topo src) ~dst:(Compact.id t.topo dst)
 
-let prefill ?pool ?retries ?deadline t pairs =
-  let missing = Hashtbl.create 64 in
-  let order =
-    List.filter
-      (fun key ->
-        if Hashtbl.mem t.mids key || Hashtbl.mem missing key then false
-        else (
-          Hashtbl.add missing key ();
-          true))
-      pairs
-  in
-  match order with
-  | [] -> ()
-  | _ ->
-      let keys = Array.of_list order in
-      let topo = t.topo in
-      let results =
-        Pan_runner.Task.map ?pool ?retries ?deadline ~n:(Array.length keys)
-          ~f:(fun k ->
-            let src, policy = keys.(k) in
-            compute_mids topo src policy)
-          ()
-      in
-      Array.iteri
-        (fun k m ->
-          let ((src, policy) as key) = keys.(k) in
-          Hashtbl.replace t.mids key m;
-          push_key t.mid_keys src policy)
-        results
+let prefill ?pool:_ _ _ = ()
 
 (* ------------------------------------------------------------------ *)
 (* Churn                                                               *)
@@ -305,19 +254,14 @@ let endpoints = function
   | Link_down (Transit { provider; customer }) ->
       (provider, customer)
 
-(* Sources whose scenario paths can differ after flipping link (a, b):
-   {a, b} and both endpoints' neighborhoods, taken on the topology
-   before AND after the flip.  See DESIGN §6f for the sufficiency
-   argument; [apply_batch] unions these sets over the batch. *)
+(* Sources whose answers can differ after flipping link (a, b): {a, b}
+   and both endpoints' neighborhoods, taken on the topology before AND
+   after the flip.  See DESIGN §6f for the sufficiency argument;
+   [apply_batch] unions these sets over the batch. *)
 let drop_memos t affected =
   let dropped = ref 0 in
   Bitset.iter
     (fun src ->
-      (match Hashtbl.find_opt t.mid_keys src with
-      | None -> ()
-      | Some policies ->
-          List.iter (fun p -> Hashtbl.remove t.mids (src, p)) !policies;
-          Hashtbl.remove t.mid_keys src);
       match Hashtbl.find_opt t.store_keys src with
       | None -> ()
       | Some keys ->
@@ -332,7 +276,8 @@ let drop_memos t affected =
   !dropped
 
 (* The re-freeze oracle's view after a batch: the thawed pre-batch
-   core with the events applied in order, frozen from scratch. *)
+   core with the events applied in order, frozen from scratch.  No
+   validation: the events must apply in sequence. *)
 let refreeze topo evs =
   let g = Compact.thaw topo in
   let asn i = Compact.id topo i in

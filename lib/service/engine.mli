@@ -3,36 +3,40 @@
 
     The engine answers [(src, dst, policy)] queries — "how many length-3
     paths, and through which middle ASes, does [src] have to [dst] under
-    this agreement scenario?" — from two memo layers:
-
-    - a {e mid-sets memo} keyed by [(src, policy)], holding the expensive
-      {!Pan_topology.Path_enum_compact.scenario_paths} enumeration;
-    - a per-pair {e path store} keyed by [(src, dst, policy)], holding
-      the rendered answer ([store_hits] / [store_misses] count here).
+    this agreement scenario?" — from one memo layer, the {e path store}
+    keyed by [(src, dst, policy)] ([store_hits] / [store_misses] count
+    here).  A miss is answered per pair by
+    {!Pan_topology.Path_enum_compact.pair_paths}, off the rows of the two
+    endpoints: no source's paths to every destination are built, because
+    no caller asks one source for many destinations between
+    invalidations.
 
     On a {!event} the topology is updated and every store entry whose
-    source could be affected is dropped.  For a single changed link
-    [(a, b)], a source [x]'s scenario paths depend only on links at
-    distance ≤ 1 from [x]'s first hops, so the affected sources are
-    [{a, b} ∪ N(a) ∪ N(b)] (neighborhoods taken both before and after
-    the flip) — everything else keeps its memo.  The churn-equivalence
-    suite ([test/test_serve.ml]) checks this invalidation is not just
-    sound but gives answers identical to a cold engine.
+    source could be affected is dropped.  An answer for [(x, z)] reads
+    [x]'s rows, the links between [x]'s neighbours and [z], and, under
+    [Ma_top], the up-rows of [x]'s peers: every link it reads has an
+    endpoint in [{x} ∪ N(x)].  So flipping link [(a, b)] can only change
+    the answers of the sources [{a, b} ∪ N(a) ∪ N(b)] (neighborhoods
+    taken both before and after the flip) — everything else keeps its
+    entries (DESIGN §6f).  The churn-equivalence suite
+    ([test/test_serve.ml]) checks this invalidation is not just sound
+    but gives answers identical to a cold engine and to the whole-source
+    enumeration.
 
     Two {!mode}s update the topology: [Incremental] splices the CSR
     adjacency through {!Pan_topology.Compact.Delta} (the incremental
-    freeze), [Refreeze] thaws the pre-batch view, applies the events to
-    the {!Graph.t} and re-freezes it from scratch.  Both maintain the
-    same answers; [Refreeze] is the correctness oracle the incremental
-    path is tested against, byte-for-byte via
-    {!Pan_topology.Compact.Snapshot.to_string}.  Neither keeps a
-    mutable graph between events: the engine holds only the frozen
-    view and its memo tables.
+    freeze), [Refreeze] is {!refreeze}: thaw the pre-batch view, apply
+    the events to the {!Graph.t} and re-freeze it from scratch.  Both
+    maintain the same answers; {!refreeze} is the correctness oracle the
+    incremental path is checked against, byte-for-byte via
+    {!Pan_topology.Compact.Snapshot.to_string}.  Neither keeps a mutable
+    graph between events: the engine holds only the frozen view and its
+    stores.
 
     When {!Pan_obs.Obs} is configured the engine records [serve.queries],
     [serve.store_hits], [serve.store_misses], [serve.events],
     [serve.invalidations] counters and a [serve.query] latency
-    histogram. *)
+    histogram; every policy-store miss adds one [path_enum.pair]. *)
 
 open Pan_topology
 
@@ -82,8 +86,11 @@ val query : t -> src:int -> dst:int -> policy:Path_enum.scenario -> int list
 
 val query_uncached :
   t -> src:int -> dst:int -> policy:Path_enum.scenario -> int list
-(** Recompute from the current topology, bypassing and not touching
-    either memo layer — the equivalence baseline for the store. *)
+(** Recompute from the current topology, bypassing and not touching the
+    store — the equivalence baseline for it.  The same
+    {!Pan_topology.Path_enum_compact.pair_paths} call a store miss
+    makes; the tests check both against the whole-source
+    {!Pan_topology.Path_enum_compact.scenario_paths}. *)
 
 val intent_query :
   t -> src:int -> dst:int -> Pan_intent.Intent.t -> Pan_intent.Candidates.result list
@@ -105,22 +112,14 @@ val intent_query_uncached :
     the equivalence baseline for intent memo/invalidation. *)
 
 val prefill :
-  ?pool:Pan_runner.Pool.t ->
-  ?retries:int ->
-  ?deadline:float ->
-  t ->
-  (int * Path_enum.scenario) list ->
-  unit
-(** Compute the mid-sets memo entries for the distinct missing
-    [(src, policy)] pairs, in first-occurrence order, through the
-    supervised {!Pan_runner.Task.map} — the enumerations are pure over
-    the immutable frozen view, so this is safe to parallelize while
-    answers stay sequential.  Results are bit-identical for every pool
-    size, including none. *)
+  ?pool:Pan_runner.Pool.t -> t -> (int * Path_enum.scenario) list -> unit
+(** Does nothing.  Kept only so the repository benchmark, which calls
+    it before each run of queries, compiles; there is no per-source
+    state left to fill.  To be removed with that call. *)
 
 val apply : t -> event -> int
 (** Apply one churn event: update the frozen view (per {!mode}), drop
-    affected memo entries.  Returns the number of path-store entries
+    affected store entries.  Returns the number of path-store entries
     invalidated.  Equivalent to [apply_batch t [ev]] (and implemented as
     such).
     @raise Invalid_argument if the event is not applicable: link already
@@ -141,3 +140,11 @@ val apply_batch : t -> event list -> int
     raise, the engine is unchanged.
     @raise Invalid_argument as {!apply}, against the state left by the
     earlier events of the batch. *)
+
+val refreeze : Compact.t -> event list -> Compact.t
+(** [refreeze pre evs]: the core [pre] thawed, the events applied in
+    order to the {!Graph.t}, frozen from scratch — what [Refreeze] mode
+    installs, and the oracle [serve --oracle] and [market --oracle]
+    compare the primary engine's post-batch core against.  [evs] must
+    apply in sequence to [pre], as {!apply_batch} validates; [refreeze]
+    itself does not check them, and no [serve.*] counter moves. *)

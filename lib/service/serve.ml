@@ -87,81 +87,45 @@ let event_of_item topo = function
   | Stream.Query _ | Stream.Intent_query _ ->
       invalid_arg "Serve.event_of_item: a query is not a churn event"
 
-let run ?pool ?retries ?deadline ?(oracle = false) ?(mode = Engine.Incremental)
-    ~topo stream =
+let run ?pool:_ ?(oracle = false) ?(mode = Engine.Incremental) ~topo stream =
   let engine = Engine.create ~mode topo in
-  let shadow =
-    if oracle then Some (Engine.create ~mode:Engine.Refreeze topo) else None
-  in
   let buf = Buffer.create 4096 in
+  let line s =
+    Buffer.add_string buf s;
+    Buffer.add_char buf '\n'
+  in
   Obs.with_span "serve.drain" (fun () ->
-      (* Split off the longest prefix of queries, prefill their missing
-         mid-sets in parallel, answer sequentially; events are barriers. *)
-      let rec drain items =
-        match items with
-        | [] -> ()
-        | (Stream.Query _ | Stream.Intent_query _) :: _ ->
-            let rec split acc = function
-              | ((Stream.Query _ | Stream.Intent_query _) as q) :: rest ->
-                  split (q :: acc) rest
-              | rest -> (List.rev acc, rest)
-            in
-            let batch, rest = split [] items in
-            let t = Engine.topology engine in
-            (* Only policy queries prefill mid-sets through the pool;
-               intent answers are computed sequentially on the answering
-               pass, so they are trivially identical at any pool size. *)
-            let keys =
-              List.filter_map
-                (function
-                  | Stream.Query q -> Some (index t "source" q.src, q.policy)
-                  | _ -> None)
-                batch
-            in
-            Engine.prefill ?pool ?retries ?deadline engine keys;
-            List.iter
-              (fun item ->
-                match item with
-                | Stream.Query { src; dst; policy } ->
-                    let src = index t "source" src in
-                    let dst = index t "destination" dst in
-                    let mids = Engine.query engine ~src ~dst ~policy in
-                    Buffer.add_string buf
-                      (render_query t ~src ~dst ~policy mids);
-                    Buffer.add_char buf '\n'
-                | Stream.Intent_query { src; dst; intent } ->
-                    let src = index t "source" src in
-                    let dst = index t "destination" dst in
-                    let results =
-                      Engine.intent_query engine ~src ~dst intent
-                    in
-                    Buffer.add_string buf
-                      (render_intent_query t ~src ~dst intent results);
-                    Buffer.add_char buf '\n'
-                | Stream.Up _ | Stream.Down _ -> assert false)
-              batch;
-            drain rest
-        | ev :: rest ->
-            let t = Engine.topology engine in
-            let ev = event_of_item t ev in
-            let dropped = Engine.apply engine ev in
-            (match shadow with
-            | None -> ()
-            | Some oracle_engine ->
-                ignore (Engine.apply oracle_engine ev);
-                let a = Compact.Snapshot.to_string (Engine.topology engine) in
-                let b =
-                  Compact.Snapshot.to_string (Engine.topology oracle_engine)
-                in
-                if not (String.equal a b) then
-                  failwith
-                    "Serve.run: oracle divergence — incremental freeze does \
-                     not match full re-freeze");
-            Buffer.add_string buf (render_event t ev dropped);
-            Buffer.add_char buf '\n';
-            drain rest
-      in
-      drain stream);
+      List.iter
+        (fun item ->
+          let t = Engine.topology engine in
+          match item with
+          | Stream.Query { src; dst; policy } ->
+              let src = index t "source" src in
+              let dst = index t "destination" dst in
+              line
+                (render_query t ~src ~dst ~policy
+                   (Engine.query engine ~src ~dst ~policy))
+          | Stream.Intent_query { src; dst; intent } ->
+              let src = index t "source" src in
+              let dst = index t "destination" dst in
+              line
+                (render_intent_query t ~src ~dst intent
+                   (Engine.intent_query engine ~src ~dst intent))
+          | Stream.Up _ | Stream.Down _ ->
+              let ev = event_of_item t item in
+              let dropped = Engine.apply engine ev in
+              if
+                oracle
+                && not
+                     (String.equal
+                        (Compact.Snapshot.to_string (Engine.topology engine))
+                        (Compact.Snapshot.to_string (Engine.refreeze t [ ev ])))
+              then
+                failwith
+                  "Serve.run: oracle divergence — incremental freeze does \
+                   not match full re-freeze";
+              line (render_event t ev dropped))
+        stream);
   let transcript = Buffer.contents buf in
   {
     transcript;

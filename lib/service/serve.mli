@@ -1,22 +1,19 @@
 (** Drain a {!Stream} through an {!Engine} and render the transcript.
 
-    The drain is segmented at churn events: each maximal run of
-    consecutive queries (policy and intent alike) first
-    {!Engine.prefill}s the distinct missing [(src, policy)] mid-sets of
-    the policy queries through the supervised pool (pure work, safely
-    parallel), then answers the whole run {e sequentially} against the
-    memoized stores — intent answers never touch the pool or the fault
-    harness.  The rendered transcript is therefore bit-identical for
-    every pool size, with or without fault injection — the property
-    [test/cli/serve.t], [test/cli/intent.t] and bench part 11 pin
-    down.
+    Items are answered one at a time, in stream order, against the
+    engine's stores: a policy query from the path store (a miss costs
+    one per-pair {!Pan_topology.Path_enum_compact.pair_paths}), an
+    intent query from the intent store, an event by {!Engine.apply}.
+    Nothing runs on a pool, so the transcript is the same for every
+    [--jobs] value and under fault injection without any argument — the
+    property [test/cli/serve.t] and [test/cli/intent.t] pin down.
 
-    With [oracle:true] a second [Refreeze] engine shadows the primary:
-    after every event it re-freezes the thawed pre-event view with the
-    event applied, the two frozen views are compared byte-for-byte
-    ({!Pan_topology.Compact.Snapshot.to_string}), and a divergence raises
-    [Failure] — the incremental freeze is never silently wrong in a
-    resident process.
+    With [oracle:true], after every event the engine's new core is
+    compared byte-for-byte ({!Pan_topology.Compact.Snapshot.to_string})
+    with {!Engine.refreeze} of the pre-event core and the event, and a
+    divergence raises [Failure] — the incremental freeze is never
+    silently wrong in a resident process.  The check keeps no second
+    engine, so the [serve.*] counters are the same with and without it.
 
     The whole drain runs under a [serve.drain] {!Pan_obs.Obs} span. *)
 
@@ -55,14 +52,14 @@ val render_intent_query :
 
 val run :
   ?pool:Pan_runner.Pool.t ->
-  ?retries:int ->
-  ?deadline:float ->
   ?oracle:bool ->
   ?mode:Engine.mode ->
   topo:Compact.t ->
   Stream.t ->
   outcome
-(** [mode] defaults to [Incremental].
+(** [mode] defaults to [Incremental].  [pool] is ignored: it is accepted
+    only so the repository benchmark, which passes one, compiles, and
+    goes with that call.
     @raise Invalid_argument on a stream item naming an AS not in the
     topology or an event not applicable in sequence.
     @raise Failure on oracle divergence. *)

@@ -71,10 +71,21 @@ let parse_asn line tok =
   | Some n when n >= 0 -> Asn.of_int n
   | _ -> fail ()
 
+(* A link or an intent names two distinct ASes; a query from an AS to
+   itself is valid and answers "no paths". *)
+let parse_pair line what a b =
+  let a = parse_asn line a in
+  let b = parse_asn line b in
+  if Asn.equal a b then err line "%s from %s to itself" what (pp_asn a);
+  (a, b)
+
 let parse_link line = function
-  | [ "peer"; a; b ] -> Peer (parse_asn line a, parse_asn line b)
+  | [ "peer"; a; b ] ->
+      let a, b = parse_pair line "peering link" a b in
+      Peer (a, b)
   | [ "transit"; p; c ] ->
-      Transit { provider = parse_asn line p; customer = parse_asn line c }
+      let provider, customer = parse_pair line "transit link" p c in
+      Transit { provider; customer }
   | kind :: _ when kind <> "peer" && kind <> "transit" ->
       err line "unknown link kind %S (expected peer or transit)" kind
   | toks -> err line "expected <kind> <AS> <AS>, got %d token(s)" (List.length toks)
@@ -119,7 +130,8 @@ let parse_intent lineno l =
   let spec = String.sub l spec_start (spec_stop - spec_start) in
   match Intent.parse_located spec with
   | Ok intent ->
-      Intent_query { src = parse_asn lineno src; dst = parse_asn lineno dst; intent }
+      let src, dst = parse_pair lineno "intent" src dst in
+      Intent_query { src; dst; intent }
   | Error (_, col, msg) ->
       err lineno "intent spec (col %d): %s" (spec_start + col) msg
 

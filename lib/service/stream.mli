@@ -20,7 +20,8 @@
     the [Pan_intent.Intent] syntax.  {!parse} and {!to_string}
     round-trip, and {!parse} reports the offending line on malformed
     input — for a bad intent spec, also the 1-based column within the
-    line. *)
+    line.  A link and an intent name two distinct ASes; a [query] from
+    an AS to itself is valid and answers "no paths". *)
 
 open Pan_numerics
 open Pan_topology
@@ -53,7 +54,7 @@ val to_string : t -> string
 
 val parse : string -> t
 (** @raise Invalid_argument as ["Stream.parse: line %d: ..."] on
-    malformed input. *)
+    malformed input, a self-link, or an intent from an AS to itself. *)
 
 val load : string -> t
 (** {!parse} a file.  @raise Sys_error on I/O. *)

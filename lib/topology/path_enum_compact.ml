@@ -189,12 +189,33 @@ let ma_indirect ?concluded c x =
   Compact.iter_peers c x from_mid;
   of_assoc ~width:n !acc
 
+(* |ma_gain c side via| without the bitset: up(via) = providers(via) ∪
+   peers(via) (two disjoint rows) minus [side] itself and minus the
+   customers of [side] it holds, that intersection walked from the
+   shorter of the two rows and binary-searched in the other. *)
+let ma_gain_count c ~side ~via =
+  let up = Compact.providers_count c via + Compact.peers_count c via in
+  let self =
+    if Compact.mem_provider c via side || Compact.mem_peer c via side then 1
+    else 0
+  in
+  let shared = ref 0 in
+  if Compact.customers_count c side < up then
+    Compact.iter_customers c side (fun z ->
+        if Compact.mem_provider c via z || Compact.mem_peer c via z then
+          incr shared)
+  else begin
+    let count z = if Compact.mem_customer c side z then incr shared in
+    Compact.iter_providers c via count;
+    Compact.iter_peers c via count
+  end;
+  up - self - !shared
+
 let top_partners c ~n x =
   if n < 0 then invalid_arg "Path_enum_compact.top_partners: n < 0";
-  let custx = customers_bitset c x in
   let scored = ref [] in
   Compact.iter_peers c x (fun y ->
-      scored := (Bitset.cardinal (ma_gain_pre c ~custx x y), y) :: !scored);
+      scored := (ma_gain_count c ~side:x ~via:y, y) :: !scored);
   let sorted =
     List.sort
       (fun (c1, y1) (c2, y2) ->
@@ -225,3 +246,72 @@ let scenario_paths c scenario x =
       union base (ma_direct ~partners c x)
 
 let additional_paths c scenario x = diff (scenario_paths c scenario x) (grc c x)
+
+(* ------------------------------------------------------------------ *)
+(* One pair                                                            *)
+
+(* The rule, by y's class towards x and z's class towards y, is the
+   interface's.  [direct] (the gain through x's own MA with peer y) and
+   [indirect] (x as the subject of the MA between y and z) fold in the
+   conditions on z alone.  The walk takes the rows of the endpoint with
+   the smaller degree and binary-searches each neighbour in the other
+   endpoint's rows. *)
+let pair_paths c scenario ~src:x ~dst:z =
+  Obs.incr "path_enum.pair";
+  if x = z then []
+  else begin
+    let direct, indirect =
+      match (scenario : Path_enum.scenario) with
+      | Grc -> (false, false)
+      | Ma_all -> (true, true)
+      | Ma_direct_only | Ma_top _ -> (true, false)
+    in
+    let direct = direct && not (Compact.mem_customer c x z) in
+    let indirect = indirect && not (Compact.mem_provider c x z) in
+    (* An [Ma_top] source with more than N peers ranks them only when a
+       mid through a peer could be granted, and only once. *)
+    let partner =
+      match scenario with
+      | Ma_top n when n < Compact.peers_count c x ->
+          let top = lazy (top_partners c ~n x) in
+          fun y -> List.mem y (Lazy.force top)
+      | _ -> fun _ -> true
+    in
+    (* y a peer of x, z a peer (or else a provider) of y *)
+    let through_peer y ~z_peer =
+      (indirect && z_peer) || (direct && partner y)
+    in
+    let kept = ref [] in
+    let keep y = kept := y :: !kept in
+    if Compact.degree c x <= Compact.degree c z then begin
+      Compact.iter_providers c x (fun y ->
+          if Compact.connected c z y then keep y);
+      Compact.iter_peers c x (fun y ->
+          if Compact.mem_provider c z y then keep y
+          else if Compact.mem_peer c z y then begin
+            if through_peer y ~z_peer:true then keep y
+          end
+          else if Compact.mem_customer c z y && through_peer y ~z_peer:false
+          then keep y);
+      Compact.iter_customers c x (fun y ->
+          if Compact.mem_provider c z y || (indirect && Compact.mem_peer c z y)
+          then keep y)
+    end
+    else begin
+      (* z is a customer of its providers, a peer of its peers and a
+         provider of its customers *)
+      Compact.iter_providers c z (fun y ->
+          if Compact.connected c x y then keep y);
+      Compact.iter_peers c z (fun y ->
+          if Compact.mem_provider c x y then keep y
+          else if Compact.mem_peer c x y then begin
+            if through_peer y ~z_peer:true then keep y
+          end
+          else if indirect && Compact.mem_customer c x y then keep y);
+      Compact.iter_customers c z (fun y ->
+          if Compact.mem_provider c x y then keep y
+          else if Compact.mem_peer c x y && through_peer y ~z_peer:false then
+            keep y)
+    end;
+    List.sort compare !kept
+  end

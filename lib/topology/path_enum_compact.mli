@@ -18,8 +18,12 @@
     to the MA that creates it, and {e indirectly} by being the AS whose
     connectivity the MA shares (the "subject").
 
-    [scenario_paths] counts its calls under the [path_enum.compact]
-    metric. *)
+    Two questions are asked of it.  {!scenario_paths} answers "every
+    path of a source" — one whole-source enumeration, counted under the
+    [path_enum.compact] metric — for the experiments, which need every
+    destination.  {!pair_paths} answers "the paths from one source to
+    one destination" off the two endpoints' rows, counted under
+    [path_enum.pair], for the path service. *)
 
 type mid_sets
 (** Map from middle-AS index to the bitset of destination indices, mids
@@ -71,9 +75,19 @@ val ma_indirect : ?concluded:(int -> int -> bool) -> Compact.t -> int ->
     [concluded y z] (default: always true) restricts which MAs are
     actually in force. *)
 
+val ma_gain_count : Compact.t -> side:int -> via:int -> int
+(** [Bitset.cardinal (ma_gain c side via)] without building the bitset:
+    [up(via) − [side ∈ up(via)] − |up(via) ∩ customers(side)|] with
+    [up = providers ∪ peers], the intersection walked from the shorter of
+    the two rows and binary-searched in the other — O(min · log), no
+    allocation.  Defined for every pair, linked or not, [side = via]
+    included.  The one MA-gain count: {!top_partners} ranks with it and
+    the marketplace's candidate search scores with it. *)
+
 val top_partners : Compact.t -> n:int -> int -> int list
 (** The [n] peers whose MA would directly give the source the most new
-    paths, best first (ties broken by index, i.e. by AS number).
+    paths ({!ma_gain_count}), best first (ties broken by index, i.e. by
+    AS number).
     @raise Invalid_argument if [n < 0]. *)
 
 val economic_paths : concluded:(int -> int -> bool) -> Compact.t -> int ->
@@ -87,6 +101,22 @@ val economic_paths : concluded:(int -> int -> bool) -> Compact.t -> int ->
 val scenario_paths : Compact.t -> Path_enum.scenario -> int -> mid_sets
 (** Every length-3 path available to the source under the scenario (GRC
     paths are always included — they remain available). *)
+
+val pair_paths :
+  Compact.t -> Path_enum.scenario -> src:int -> dst:int -> int list
+(** The middle ASes of the paths [src - mid - dst] available under the
+    scenario, ascending: exactly the mids of [scenario_paths c scenario
+    src] whose destination set holds [dst], and [[]] when [src = dst].
+    It reads only the two endpoints' rows (plus, under [Ma_top], the
+    up-rows of [src]'s peers to rank them): a mid [y] is a common
+    neighbour, kept when it is a provider of [src]; when [dst] is a
+    customer of [y]; when [y] is a peer of [src], [dst] a provider or
+    peer of [y] and not a customer of [src], under [Ma_all],
+    [Ma_direct_only], or [Ma_top n] with [y] among {!top_partners};
+    and when [y] is a peer or customer of [src], [dst] a peer of [y]
+    and not a provider of [src], under [Ma_all].  The walk takes the
+    rows of the endpoint of smaller degree and binary-searches the
+    other's: O(min(deg src, deg dst) · log), no n-bit sets. *)
 
 val additional_paths : Compact.t -> Path_enum.scenario -> int -> mid_sets
 (** [scenario_paths] minus the GRC baseline. *)

@@ -337,6 +337,74 @@ let qcheck_top_partners_equivalence =
               (Path_enum_compact.top_partners c ~n i))
         (Graph.ases g))
 
+(* The per-pair answer against both whole-source enumerations: the
+   compact mids whose destination set holds dst, and the ASN-set
+   oracle's.  Every (src, dst) pair, src = dst included, on default-shape
+   graphs (route-server hubs make some rows long, so both walk
+   directions of [pair_paths] run), under every scenario shape: [Ma_top]
+   choosing none, one, a few and all peers. *)
+let qcheck_pair_paths_equivalence =
+  QCheck.Test.make ~count:8 ~name:"pair_paths = scenario_paths ∩ dst = legacy"
+    QCheck.(int_range 1 1000)
+    (fun seed ->
+      let g = gen_graph ~n_transit:15 ~n_stub:50 seed in
+      let c = Compact.freeze g in
+      let n = Compact.num_ases c in
+      let scenarios =
+        Legacy.
+          [ Grc; Ma_all; Ma_direct_only; Ma_top 0; Ma_top 1; Ma_top 3;
+            Ma_top 1000 ]
+      in
+      List.for_all
+        (fun s ->
+          List.for_all
+            (fun src ->
+              let by_dst =
+                Path_enum_compact.by_destination
+                  (Path_enum_compact.scenario_paths c s src)
+              in
+              let legacy = Legacy.scenario_paths g s (Compact.id c src) in
+              List.for_all
+                (fun dst ->
+                  let pair = Path_enum_compact.pair_paths c s ~src ~dst in
+                  let compact =
+                    match Path_enum_compact.find by_dst dst with
+                    | Some mids -> Bitset.to_list mids
+                    | None -> []
+                  in
+                  let z = Compact.id c dst in
+                  let oracle =
+                    Asn.Map.fold
+                      (fun mid zs acc ->
+                        if Asn.Set.mem z zs then Asn.to_int mid :: acc else acc)
+                      legacy []
+                    |> List.rev
+                  in
+                  pair = compact
+                  && List.map (fun y -> Asn.to_int (Compact.id c y)) pair
+                     = oracle)
+                (List.init n Fun.id))
+            (List.init n Fun.id))
+        scenarios)
+
+(* Every ordered (side, via) pair, linked or not and side = via included,
+   so the count walks customers(side) on some pairs and up(via) on
+   others. *)
+let qcheck_ma_gain_count =
+  QCheck.Test.make ~count:12 ~name:"ma_gain_count = |ma_gain|"
+    QCheck.(int_range 1 1000)
+    (fun seed ->
+      let c = Compact.freeze (gen_graph ~n_transit:15 ~n_stub:50 seed) in
+      let n = Compact.num_ases c in
+      List.for_all
+        (fun side ->
+          List.for_all
+            (fun via ->
+              Path_enum_compact.ma_gain_count c ~side ~via
+              = Bitset.cardinal (Path_enum_compact.ma_gain c side via))
+            (List.init n Fun.id))
+        (List.init n Fun.id))
+
 let test_counts_on_fig1 () =
   let g = Gen.fig1 () in
   let c = Compact.freeze g in
@@ -584,6 +652,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_primitive_equivalence;
     QCheck_alcotest.to_alcotest qcheck_concluded_equivalence;
     QCheck_alcotest.to_alcotest qcheck_top_partners_equivalence;
+    QCheck_alcotest.to_alcotest qcheck_pair_paths_equivalence;
+    QCheck_alcotest.to_alcotest qcheck_ma_gain_count;
     Alcotest.test_case "fig1 counts (hand-checked)" `Quick test_counts_on_fig1;
     QCheck_alcotest.to_alcotest qcheck_snapshot_roundtrip;
     Alcotest.test_case "snapshot: CAIDA sample round-trip" `Quick

@@ -39,6 +39,15 @@ let apply_to_graph g = function
   | Stream.Query _ | Stream.Intent_query _ ->
       invalid_arg "apply_to_graph: query"
 
+(* The whole-source enumeration filtered to one destination: the
+   reference every per-pair answer is checked against. *)
+let scenario_answer topo ~src ~dst ~policy =
+  let acc = ref [] in
+  Path_enum_compact.iter_sets
+    (fun mid dsts -> if Bitset.mem dsts dst then acc := mid :: !acc)
+    (Path_enum_compact.scenario_paths topo policy src);
+  List.rev !acc
+
 (* An all-events stream is exactly what churn probability 1 generates,
    and the generator guarantees each event is applicable in order. *)
 let gen_events ~seed ~topo n =
@@ -58,6 +67,19 @@ let qcheck_churn_equivalence =
       let inc = Engine.create ~mode:Engine.Incremental topo in
       let orc = Engine.create ~mode:Engine.Refreeze topo in
       let mirror = Compact.thaw topo in
+      let n = Compact.num_ases topo in
+      (* Pairs asked after every event, so later answers come from a
+         store the earlier events invalidated. *)
+      let watched =
+        let rng = Rng.create (seed + 3) in
+        List.init 6 (fun _ ->
+            let src = Rng.int rng n in
+            (src, (src + 1 + Rng.int rng (n - 1)) mod n))
+      in
+      let matches_reference e ~src ~dst ~policy =
+        Engine.query e ~src ~dst ~policy
+        = scenario_answer (Engine.topology e) ~src ~dst ~policy
+      in
       List.for_all
         (fun item ->
           let ev = Serve.event_of_item topo item in
@@ -65,13 +87,19 @@ let qcheck_churn_equivalence =
           ignore (Engine.apply orc ev : int);
           apply_to_graph mirror item;
           frozen_equal (Engine.topology inc) (Engine.topology orc)
-          && frozen_equal (Engine.topology inc) (Compact.freeze mirror))
+          && frozen_equal (Engine.topology inc) (Compact.freeze mirror)
+          && List.for_all
+               (fun policy ->
+                 List.for_all
+                   (fun (src, dst) -> matches_reference inc ~src ~dst ~policy)
+                   watched)
+               policies)
         events
       &&
       (* ... and the churned engine answers every sampled query exactly
-         like a cold engine built on the mutated graph. *)
+         like a cold engine built on the mutated graph, and like the
+         whole-source enumeration on it. *)
       let cold = Engine.create (Compact.freeze mirror) in
-      let n = Compact.num_ases topo in
       let rng = Rng.create (seed + 2) in
       List.for_all
         (fun policy ->
@@ -80,7 +108,8 @@ let qcheck_churn_equivalence =
               let src = Rng.int rng n in
               let dst = (src + 1 + Rng.int rng (n - 1)) mod n in
               Engine.query inc ~src ~dst ~policy
-              = Engine.query cold ~src ~dst ~policy)
+              = Engine.query cold ~src ~dst ~policy
+              && matches_reference cold ~src ~dst ~policy)
             [ (); (); (); (); (); (); (); () ])
         policies)
 
@@ -567,7 +596,7 @@ let test_serve_faults_equal () =
       ~finally:(fun () -> Pan_runner.Fault.set None)
       (fun () ->
         Pan_runner.Pool.with_pool ~domains:4 (fun pool ->
-            Serve.run ~pool ~retries:6 ~topo stream))
+            Serve.run ~pool ~topo stream))
   in
   Alcotest.(check string) "fault-injected run is byte-identical"
     base.Serve.transcript faulty.Serve.transcript;
@@ -621,7 +650,17 @@ let test_stream_parse_errors () =
   expect "bad link kind"
     "Stream.parse: line 1: unknown link kind \"cable\" (expected peer or \
      transit)"
-    "down cable AS1 AS2"
+    "down cable AS1 AS2";
+  expect "self-link (transit), right line number"
+    "Stream.parse: line 2: transit link from AS3 to itself"
+    "query AS1 AS2 grc\nup transit AS3 AS3\n";
+  expect "self-link (peer)"
+    "Stream.parse: line 1: peering link from AS4 to itself"
+    "down peer AS4 AS4";
+  expect "intent to itself" "Stream.parse: line 1: intent from AS8 to itself"
+    "intent AS8 AS8 metric=latency; k=2";
+  Alcotest.(check int) "a query to itself stays valid" 1
+    (List.length (Stream.parse "query AS8 AS8 ma-all"))
 
 let test_policy_labels () =
   List.iter
