@@ -1,5 +1,5 @@
 .PHONY: all build quick test bench bench-topo bench-bosco bench-faults \
-	bench-serve bench-intent bench-market bench-market-mech \
+	bench-runner bench-serve bench-intent bench-market bench-market-mech \
 	bench-snapshots validate-bench profile clean
 
 all: build
@@ -42,6 +42,13 @@ bench-bosco:
 # (CI runs this too).
 bench-faults:
 	dune exec bench/main.exe -- faults
+
+# Runner scaling table (bench part 4 alone, seconds rather than the full
+# bench's minutes): the five ported experiment kernels sequentially and
+# on 2- and 4-domain pools; exits non-zero unless every parallel result
+# equals the sequential one.
+bench-runner:
+	dune exec bench/main.exe -- runner
 
 # Resident-service sweep (bench part 11): queries/sec and latency
 # percentiles under link churn on a 3k-AS topology, with the

@@ -91,8 +91,9 @@
    `make bench-bosco`); `main.exe bosco-smoke` caps Part 7 at W = 128
    (used by CI); both emit BENCH_bosco.json; `main.exe econ[-smoke]`
    runs Part 9 (60/24 scenarios); `main.exe faults` runs only Part 8
-   (used by CI and `make bench-faults`).  The topo, bosco, econ,
-   topo-snapshot and faults parts exit non-zero on any fingerprint or
+   (used by CI and `make bench-faults`); `main.exe runner` runs only
+   Part 4 (`make bench-runner`).  The topo, bosco, econ, topo-snapshot,
+   faults and runner parts exit non-zero on any fingerprint or
    determinism mismatch. *)
 
 open Bechamel
@@ -448,6 +449,8 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* Prints the table; true iff every 2- and 4-domain result equals the
+   sequential one. *)
 let runner_scaling () =
   section "Runner scaling: wall-clock per worker-domain count";
   let g = Lazy.force shared_graph in
@@ -505,8 +508,8 @@ let runner_scaling () =
   in
   Format.fprintf fmt "%-32s %10s %10s %10s %10s  %s@." "kernel" "seq (s)"
     "j=2 (s)" "j=4 (s)" "speedup@4" "par=seq";
-  List.iter
-    (fun (name, kernel) ->
+  List.fold_left
+    (fun ok (name, kernel) ->
       let seq, t_seq = time (fun () -> kernel None) in
       let run_jobs jobs =
         Pan_runner.Pool.with_pool ~domains:jobs (fun pool ->
@@ -514,10 +517,11 @@ let runner_scaling () =
       in
       let r2, t2 = run_jobs 2 in
       let r4, t4 = run_jobs 4 in
+      let equal = seq = r2 && seq = r4 in
       Format.fprintf fmt "%-32s %10.3f %10.3f %10.3f %9.2fx  %b@." name t_seq
-        t2 t4 (t_seq /. t4)
-        (seq = r2 && seq = r4))
-    kernels
+        t2 t4 (t_seq /. t4) equal;
+      ok && equal)
+    true kernels
 
 let run_runner_pair () =
   (* Bechamel pair: the same E1 kernel sequentially and on a reused
@@ -933,7 +937,7 @@ let run_supervised () =
   let ok = ref true in
   Format.fprintf fmt "%-36s %10s %10s %10s  %s@." "configuration" "seq (s)"
     "j=4 (s)" "overhead" "par=seq=base";
-  Format.fprintf fmt "%-36s %10.3f %10s %10s  %b@." "fault-free (fast path)"
+  Format.fprintf fmt "%-36s %10.3f %10s %10s  %b@." "fault-free (retries=0)"
     t_base "-" "-" true;
   List.iter
     (fun (label, faults, retries) ->
@@ -1336,7 +1340,7 @@ let full_run () =
   ablation_dynamics_start ();
   ablation_asymmetric_distributions ();
   ablation_topology_density ();
-  runner_scaling ();
+  ignore (runner_scaling () : bool);
   ignore (run_compact_core `Smoke : bool);
   ignore (run_bosco `Smoke : bool);
   ignore (run_econ ~scenarios:24 () : bool);
@@ -1362,6 +1366,7 @@ let () =
   | "econ" -> if not (run_econ ~scenarios:60 ()) then exit 1
   | "econ-smoke" -> if not (run_econ ~scenarios:24 ()) then exit 1
   | "faults" -> if not (run_supervised ()) then exit 1
+  | "runner" -> if not (runner_scaling ()) then exit 1
   | "serve" -> if not (run_serve `Full) then exit 1
   | "serve-smoke" -> if not (run_serve `Smoke) then exit 1
   | "intent" -> if not (run_intent `Full) then exit 1
@@ -1375,8 +1380,8 @@ let () =
       Format.eprintf
         "usage: %s \
          [topo|topo-full|topo-snapshot|topo-snapshot-smoke|bosco|bosco-smoke|\
-         econ|econ-smoke|faults|serve|serve-smoke|intent|intent-smoke|\
-         market|market-smoke|market-mech|market-mech-smoke]  \
+         econ|econ-smoke|faults|runner|serve|serve-smoke|intent|\
+         intent-smoke|market|market-smoke|market-mech|market-mech-smoke]  \
          (unknown part %S)@."
         Sys.argv.(0) other;
       exit 2);

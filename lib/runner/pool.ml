@@ -13,8 +13,8 @@ type t = {
 
 let domains t = t.domains
 
-(* Jobs report success/failure through their own channel (as Task's
-   completion barrier does); an exception escaping a job must not take a
+(* Jobs report success/failure through their own channel (as
+   Supervise.run_chunks does); an exception escaping a job must not take a
    pool domain down with it, or an N-domain pool silently degrades to
    N-1 for the rest of the process.  Absorb and count instead. *)
 let run_job_absorbing job =
@@ -85,8 +85,8 @@ let run_jobs t jobs =
   Condition.broadcast t.has_job;
   (* Help drain the queue: the caller is the pool's last worker.  A
      raising job must not abort the drain — queued jobs would be
-     stranded and Task's completion barrier would deadlock — so absorb,
-     count, re-lock, and keep draining. *)
+     stranded and Supervise's completion barrier would deadlock — so
+     absorb, count, re-lock, and keep draining. *)
   let rec help () =
     if Queue.is_empty t.jobs then Mutex.unlock t.mutex
     else begin

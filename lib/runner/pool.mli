@@ -3,8 +3,8 @@
     A pool with [domains = d] provides [d]-way parallelism: [d - 1] worker
     domains are spawned at creation and block on the queue, and the caller
     of {!run_jobs} participates as the [d]-th worker.  A pool with
-    [domains = 1] spawns no domains at all; {!Task} then takes a purely
-    sequential path.
+    [domains = 1] spawns no domains at all; {!Supervise.run_chunks}
+    then runs the chunks sequentially on the calling domain.
 
     Pools are cheap enough to create per experiment but are designed to be
     reused: {!Task.map_reduce} can be called any number of times on the
@@ -13,9 +13,9 @@
     The pool is exception-safe: a job that raises cannot kill the worker
     domain that ran it (the domain absorbs the exception and returns to
     the queue) or abort the caller-helps drain in {!run_jobs}.  Jobs are
-    expected to report failures through their own channel, as
-    {!Task}'s completion barrier and the {!Supervise} engine do; an
-    exception that nevertheless escapes is counted, not propagated.
+    expected to report failures through their own channel, as the
+    {!Supervise} engine does; an exception that nevertheless escapes is
+    counted, not propagated.
 
     When {!Pan_obs.Obs} is configured, pool creation records the
     [pool.created] counter and a [pool.domains] high-water gauge, and
@@ -47,9 +47,9 @@ val run_jobs : t -> (unit -> unit) list -> unit
 (** Low-level: enqueue jobs and help drain the queue on the calling
     domain.  Returns when the queue is empty; jobs picked up by other
     workers may still be executing, so callers must track completion
-    themselves (as {!Task} does).  Jobs should report failures through
-    their own channel: an exception escaping a job is absorbed and
-    counted under [pool.job_failures], never propagated, and the
-    executing domain stays alive.  Only one [run_jobs] may be in flight
-    per pool at a time.
+    themselves (as {!Supervise.run_chunks} does).  Jobs should report
+    failures through their own channel: an exception escaping a job is
+    absorbed and counted under [pool.job_failures], never propagated,
+    and the executing domain stays alive.  Only one [run_jobs] may be in
+    flight per pool at a time.
     @raise Invalid_argument if the pool has been shut down. *)

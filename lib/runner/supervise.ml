@@ -37,13 +37,12 @@ let pp_manifest fmt m =
 
 exception Incomplete of manifest
 
-(* Per-chunk outcome, written by whichever domain ran the chunk and read
-   by the coordinator after the completion barrier. *)
+(* Per-chunk outcome, produced by whichever domain ran the chunk. *)
 type 'a outcome =
   | Done of 'a * int (* attempts used *)
   | Failed of failure * (exn * Printexc.raw_backtrace) option
 
-let run_chunks ?pool ~policy ~partial ~m run =
+let run_chunks ?pool ~policy ~partial ~m run ~fold ~init =
   let clock =
     match Obs.clock () with Some c -> c | None -> Clock.of_env ()
   in
@@ -53,91 +52,80 @@ let run_chunks ?pool ~policy ~partial ~m run =
     | None -> false
     | Some d -> Clock.now clock -. t0 >= d
   in
-  let outcomes : 'a outcome option array = Array.make m None in
   let hit_deadline = Atomic.make false in
   (* The whole attempt loop runs on one domain, so retries are immediate
      and the (chunk, attempt) fault/replay keys never depend on
      scheduling.  Never raises. *)
-  let attempt_chunk c =
-    let rec go attempt last_err =
-      if expired () then begin
-        Atomic.set hit_deadline true;
-        Obs.incr "runner.chunks_cancelled";
-        let error, exn_bt =
-          match last_err with
-          | Some ((e, _) as eb) -> (Printexc.to_string e, Some eb)
-          | None -> ("deadline expired", None)
-        in
-        outcomes.(c) <-
-          Some (Failed ({ chunk = c; attempts = attempt - 1; error }, exn_bt))
-      end
-      else
-        match
-          try
-            Fault.inject ~clock ~chunk:c ~attempt;
-            Ok (run c)
-          with e -> Error (e, Printexc.get_raw_backtrace ())
-        with
-        | Ok v ->
-            if attempt > 1 then Obs.incr "runner.chunks_recovered";
-            outcomes.(c) <- Some (Done (v, attempt))
-        | Error ((e, _) as eb) ->
-            Obs.incr "runner.attempt_failures";
-            if attempt <= policy.retries then begin
-              Obs.incr "runner.retries";
-              go (attempt + 1) (Some eb)
-            end
-            else begin
-              Obs.incr "runner.chunks_failed";
-              outcomes.(c) <-
-                Some
-                  (Failed
-                     ( {
-                         chunk = c;
-                         attempts = attempt;
-                         error = Printexc.to_string e;
-                       },
-                       Some eb ))
-            end
-    in
-    go 1 None
+  let rec attempt_chunk c attempt last_err =
+    if expired () then begin
+      Atomic.set hit_deadline true;
+      Obs.incr "runner.chunks_cancelled";
+      let error, exn_bt =
+        match last_err with
+        | Some ((e, _) as eb) -> (Printexc.to_string e, Some eb)
+        | None -> ("deadline expired", None)
+      in
+      Failed ({ chunk = c; attempts = attempt - 1; error }, exn_bt)
+    end
+    else
+      match
+        Fault.inject ~clock ~chunk:c ~attempt;
+        run c
+      with
+      | v ->
+          if attempt > 1 then Obs.incr "runner.chunks_recovered";
+          Done (v, attempt)
+      | exception e ->
+          let eb = (e, Printexc.get_raw_backtrace ()) in
+          Obs.incr "runner.attempt_failures";
+          if attempt <= policy.retries then begin
+            Obs.incr "runner.retries";
+            attempt_chunk c (attempt + 1) (Some eb)
+          end
+          else begin
+            Obs.incr "runner.chunks_failed";
+            Failed
+              ( { chunk = c; attempts = attempt; error = Printexc.to_string e },
+                Some eb )
+          end
+  in
+  (* Outcomes are settled in ascending chunk order on every path, so the
+     fold sees completed chunks in index order whatever the scheduling. *)
+  let acc = ref init and completed = ref 0 and retried = ref 0 in
+  let failed = ref [] (* descending chunk order *) in
+  let settle = function
+    | Done (v, attempts) ->
+        acc := fold !acc v;
+        incr completed;
+        if attempts > 1 then incr retried
+    | Failed (f, exn_bt) -> failed := (f, exn_bt) :: !failed
   in
   (match pool with
   | Some p when Pool.domains p > 1 && m > 1 ->
+      let outcomes = Array.make m None in
       let mutex = Mutex.create () in
       let all_done = Condition.create () in
       let remaining = ref m in
-      let job c =
-        attempt_chunk c;
+      let job c () =
+        let o = attempt_chunk c 1 None in
         Mutex.lock mutex;
+        outcomes.(c) <- Some o;
         decr remaining;
         if !remaining = 0 then Condition.signal all_done;
         Mutex.unlock mutex
       in
-      Pool.run_jobs p (List.init m (fun c () -> job c));
+      Pool.run_jobs p (List.init m job);
       Mutex.lock mutex;
       while !remaining > 0 do
         Condition.wait all_done mutex
       done;
-      Mutex.unlock mutex
+      Mutex.unlock mutex;
+      Array.iter (fun o -> settle (Option.get o)) outcomes
   | _ ->
       for c = 0 to m - 1 do
-        attempt_chunk c
+        settle (attempt_chunk c 1 None)
       done);
-  let results = Array.make m None in
-  let completed = ref 0 and retried = ref 0 in
-  let failures = ref [] and first_exn = ref None in
-  for c = m - 1 downto 0 do
-    match outcomes.(c) with
-    | Some (Done (v, attempts)) ->
-        results.(c) <- Some v;
-        incr completed;
-        if attempts > 1 then incr retried
-    | Some (Failed (f, exn_bt)) ->
-        failures := f :: !failures;
-        first_exn := exn_bt
-    | None -> assert false
-  done;
+  let failed = List.rev !failed in
   let deadline_expired = Atomic.get hit_deadline in
   if deadline_expired then Obs.incr "runner.deadline_expired";
   let manifest =
@@ -145,15 +133,15 @@ let run_chunks ?pool ~policy ~partial ~m run =
       total_chunks = m;
       completed_chunks = !completed;
       retried_chunks = !retried;
-      failures = !failures;
+      failures = List.map fst failed;
       deadline_expired;
     }
   in
-  if (not partial) && manifest.failures <> [] then
+  if partial then (!acc, manifest)
+  else
     (* All-or-nothing: surface the lowest failed chunk — deterministic,
-       unlike completion order.  first_exn holds that chunk's exception
-       because the loop above walks chunks in descending order. *)
-    match !first_exn with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> raise (Incomplete manifest)
-  else (results, manifest)
+       unlike completion order. *)
+    match failed with
+    | [] -> (!acc, manifest)
+    | (_, Some (e, bt)) :: _ -> Printexc.raise_with_backtrace e bt
+    | (_, None) :: _ -> raise (Incomplete manifest)

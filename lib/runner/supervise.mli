@@ -66,23 +66,36 @@ val run_chunks :
   partial:bool ->
   m:int ->
   (int -> 'a) ->
-  'a option array * manifest
-(** [run_chunks ?pool ~policy ~partial ~m run] executes [run 0 .. run
-    (m-1)], each chunk supervised per [policy], on the pool (or
-    sequentially in ascending chunk order without one).  [run c] must
-    restart from pristine state on every call — the engine calls it once
-    per attempt — and must not mutate state shared across chunks.
-    {!Fault.inject} is applied before each attempt.
+  fold:('b -> 'a -> 'b) ->
+  init:'b ->
+  'b * manifest
+(** [run_chunks ?pool ~policy ~partial ~m run ~fold ~init] executes
+    [run 0 .. run (m-1)], each chunk supervised per [policy], and folds
+    the results of the completed chunks with [fold], starting from
+    [init], in ascending chunk order.  Without a pool (or on a
+    one-domain pool, or with [m <= 1]) chunks run sequentially in
+    ascending order and each result is folded as soon as its chunk
+    completes, so it can be collected before the next chunk runs; on a
+    pool the results wait in per-chunk slots until every chunk has
+    finished and are then folded by the caller.  Either way [fold] sees
+    the same sequence, so the result is independent of the pool size.
 
-    Slot [c] of the returned array is [Some] iff chunk [c] completed.
+    [run c] must restart from pristine state on every call — the engine
+    calls it once per attempt — and must not mutate state shared across
+    chunks.  {!Fault.inject} is applied before each attempt.  [fold]
+    runs on the calling domain only; an exception it raises propagates
+    at once.
+
     With [partial = false] the function only returns when the manifest
-    is complete: otherwise it re-raises the first failed chunk's
-    exception (lowest chunk index, with its backtrace), or raises
+    is complete: otherwise, after every chunk has finished, it re-raises
+    the lowest failed chunk's exception with its backtrace, or raises
     {!Incomplete} when that failure is a deadline cancellation.  With
-    [partial = true] it always returns.
+    [partial = true] it always returns, the fold covering the completed
+    chunks only.
 
     When {!Pan_obs.Obs} is configured the engine counts
     [runner.attempt_failures], [runner.retries] (re-attempts scheduled),
     [runner.chunks_recovered] (succeeded after a retry),
     [runner.chunks_failed] (retries exhausted), [runner.chunks_cancelled]
-    (deadline) and [runner.deadline_expired]. *)
+    (deadline) and [runner.deadline_expired]; a fault-free run counts
+    none of them. *)

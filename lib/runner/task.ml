@@ -3,220 +3,71 @@ module Obs = Pan_obs.Obs
 
 let chunk_count ~n ~chunk = (n + chunk - 1) / chunk
 
-(* Every chunk executed — on any path, parallel or sequential — reports
-   the same three metrics, so totals are independent of pool size:
-   runner.chunks (+1), runner.items (+length), and a runner.chunk
-   duration histogram entry.  All are no-ops unless Pan_obs.Obs is
-   configured. *)
-let instrument_chunk ~items body =
+let check name ~n ~chunk =
+  if n < 0 then invalid_arg ("Task." ^ name ^ ": n < 0");
+  if chunk < 1 then invalid_arg ("Task." ^ name ^ ": chunk < 1")
+
+(* Every executed chunk attempt reports the same three metrics whatever
+   the pool size, so totals are independent of it: runner.chunks (+1),
+   runner.items (+length), and a runner.chunk duration histogram entry.
+   All are no-ops unless Pan_obs.Obs is configured.  The chunk's items
+   go into one array, evaluated in ascending index order. *)
+let chunk_items ~n ~chunk c f =
+  let lo = c * chunk in
+  let len = min chunk (n - lo) in
   Obs.time "runner.chunk" (fun () ->
       Obs.incr "runner.chunks";
-      Obs.incr ~by:items "runner.items";
-      body ())
+      Obs.incr ~by:len "runner.items";
+      let out = Array.make len (f lo) in
+      for k = 1 to len - 1 do
+        out.(k) <- f (lo + k)
+      done;
+      out)
 
-(* Chunk [c] always receives the [(c+1)]-th split of the master rng; the
-   sequential path below splits lazily in the same order, so both paths
-   consume the master stream identically. *)
-let split_rngs rng m =
-  if m = 0 then [||]
-  else begin
-    let rngs = Array.make m (Rng.split rng) in
-    for c = 1 to m - 1 do
-      rngs.(c) <- Rng.split rng
-    done;
-    rngs
-  end
-
-let seq_map_reduce ~rng ~n ~chunk ~f ~combine ~init =
+(* Chunk [c] always receives the [(c+1)]-th split of the master rng, and
+   every attempt of it replays a pristine Rng.copy of that split, so a
+   retried run is bit-identical to a fault-free one.  Folding each chunk's
+   items in ascending order, chunk after chunk in ascending order
+   (Supervise.run_chunks' contract), gives [combine] the item sequence
+   0 .. n-1 on every pool size. *)
+let run_map_reduce ~pool ~policy ~partial ~rng ~n ~chunk ~f ~combine ~init =
   let m = chunk_count ~n ~chunk in
-  let acc = ref init in
-  for c = 0 to m - 1 do
-    let crng = Rng.split rng in
-    let hi = min n ((c + 1) * chunk) - 1 in
-    instrument_chunk
-      ~items:(hi - (c * chunk) + 1)
-      (fun () ->
-        for i = c * chunk to hi do
-          acc := combine !acc (f crng i)
-        done)
-  done;
-  !acc
-
-(* Run [run_chunk 0 .. run_chunk (m-1)] on the pool and return the results
-   in chunk order.  The first exception (in completion order) is re-raised
-   after every chunk has finished, so the pool stays consistent. *)
-let par_chunks pool ~m run_chunk =
-  let results = Array.make m None in
-  let mutex = Mutex.create () in
-  let all_done = Condition.create () in
-  let remaining = ref m in
-  let failure = ref None in
-  let job c () =
-    let outcome =
-      try Ok (run_chunk c)
-      with e -> Error (e, Printexc.get_raw_backtrace ())
-    in
-    Mutex.lock mutex;
-    (match outcome with
-    | Ok v -> results.(c) <- Some v
-    | Error err -> ( match !failure with None -> failure := Some err | Some _ -> ()));
-    decr remaining;
-    if !remaining = 0 then Condition.signal all_done;
-    Mutex.unlock mutex
-  in
-  Pool.run_jobs pool (List.init m (fun c () -> job c ()));
-  Mutex.lock mutex;
-  while !remaining > 0 do
-    Condition.wait all_done mutex
-  done;
-  Mutex.unlock mutex;
-  (match !failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ());
-  Array.map (function Some v -> v | None -> assert false) results
-
-(* A run is supervised when the caller asked for retry/deadline policy,
-   or when fault injection is active (faults must also hit -j 1 runs so
-   the cram tests can exercise the sequential path).  Only the
-   supervised path pays for buffering and per-attempt Rng copies. *)
-let supervision ~retries ~deadline =
-  if retries = 0 && deadline = None && Fault.get () = None then None
-  else Some (Supervise.policy ~retries ?deadline ())
-
-(* Supervised map_reduce: chunk results are buffered and folded only
-   after the chunk succeeds, so a retried attempt never leaks partial
-   items into the accumulator; every attempt of chunk [c] re-runs on a
-   pristine Rng.copy of the chunk's split generator (retry determinism). *)
-let supervised_map_reduce ?pool ~policy ~partial ~rng ~n ~chunk ~f ~combine
-    ~init () =
-  let m = chunk_count ~n ~chunk in
-  let rngs = split_rngs rng m in
-  let run_chunk c =
-    let crng = Rng.copy rngs.(c) in
-    let hi = min n ((c + 1) * chunk) - 1 in
-    instrument_chunk
-      ~items:(hi - (c * chunk) + 1)
-      (fun () ->
-        (* items in reverse index order; re-reversed during the fold *)
-        let items = ref [] in
-        for i = c * chunk to hi do
-          items := f crng i :: !items
-        done;
-        !items)
-  in
-  let per_chunk, manifest =
-    Supervise.run_chunks ?pool ~policy ~partial ~m run_chunk
-  in
-  let acc =
-    Array.fold_left
-      (fun acc -> function
-        | Some items -> List.fold_left combine acc (List.rev items)
-        | None -> acc)
-      init per_chunk
-  in
-  (acc, manifest)
+  let rngs = Array.init m (fun _ -> Rng.split rng) in
+  Supervise.run_chunks ?pool ~policy ~partial ~m
+    (fun c -> chunk_items ~n ~chunk c (f (Rng.copy rngs.(c))))
+    ~fold:(Array.fold_left combine) ~init
 
 let map_reduce ?pool ?(retries = 0) ?deadline ~rng ~n ~chunk ~f ~combine ~init
     () =
-  if n < 0 then invalid_arg "Task.map_reduce: n < 0";
-  if chunk < 1 then invalid_arg "Task.map_reduce: chunk < 1";
-  match supervision ~retries ~deadline with
-  | Some policy ->
-      fst
-        (supervised_map_reduce ?pool ~policy ~partial:false ~rng ~n ~chunk ~f
-           ~combine ~init ())
-  | None -> (
-      let m = chunk_count ~n ~chunk in
-      match pool with
-      | Some p when Pool.domains p > 1 && m > 1 ->
-          let rngs = split_rngs rng m in
-          let run_chunk c =
-            let crng = rngs.(c) in
-            let hi = min n ((c + 1) * chunk) - 1 in
-            instrument_chunk
-              ~items:(hi - (c * chunk) + 1)
-              (fun () ->
-                (* items in reverse index order; re-reversed during the fold *)
-                let items = ref [] in
-                for i = c * chunk to hi do
-                  items := f crng i :: !items
-                done;
-                !items)
-          in
-          let per_chunk = par_chunks p ~m run_chunk in
-          Array.fold_left
-            (fun acc items -> List.fold_left combine acc (List.rev items))
-            init per_chunk
-      | _ -> seq_map_reduce ~rng ~n ~chunk ~f ~combine ~init)
+  check "map_reduce" ~n ~chunk;
+  let policy = Supervise.policy ~retries ?deadline () in
+  fst
+    (run_map_reduce ~pool ~policy ~partial:false ~rng ~n ~chunk ~f ~combine
+       ~init)
 
 let map_reduce_partial ?pool ~policy ~rng ~n ~chunk ~f ~combine ~init () =
-  if n < 0 then invalid_arg "Task.map_reduce_partial: n < 0";
-  if chunk < 1 then invalid_arg "Task.map_reduce_partial: chunk < 1";
-  supervised_map_reduce ?pool ~policy ~partial:true ~rng ~n ~chunk ~f ~combine
-    ~init ()
+  check "map_reduce_partial" ~n ~chunk;
+  run_map_reduce ~pool ~policy ~partial:true ~rng ~n ~chunk ~f ~combine ~init
 
-let supervised_map ?pool ~policy ~partial ~chunk ~n ~f () =
-  let m = chunk_count ~n ~chunk in
-  let run_chunk c =
-    let lo = c * chunk in
-    let len = min chunk (n - lo) in
-    instrument_chunk ~items:len (fun () ->
-        let out = Array.make len (f lo) in
-        for k = 1 to len - 1 do
-          out.(k) <- f (lo + k)
-        done;
-        out)
+(* Completed chunks are copied into one output array as they are folded,
+   so a sequential run holds at most one chunk buffer at a time. *)
+let run_map ~pool ~policy ~partial ~chunk ~n ~f =
+  let (out, filled), manifest =
+    Supervise.run_chunks ?pool ~policy ~partial ~m:(chunk_count ~n ~chunk)
+      (fun c -> chunk_items ~n ~chunk c f)
+      ~fold:(fun (out, filled) items ->
+        let out = if filled = 0 then Array.make n items.(0) else out in
+        Array.blit items 0 out filled (Array.length items);
+        (out, filled + Array.length items))
+      ~init:([||], 0)
   in
-  let per_chunk, manifest =
-    Supervise.run_chunks ?pool ~policy ~partial ~m run_chunk
-  in
-  let completed = List.filter_map Fun.id (Array.to_list per_chunk) in
-  (Array.concat completed, manifest)
+  ((if filled = n then out else Array.sub out 0 filled), manifest)
 
 let map ?pool ?(chunk = 16) ?(retries = 0) ?deadline ~n ~f () =
-  if n < 0 then invalid_arg "Task.map: n < 0";
-  if chunk < 1 then invalid_arg "Task.map: chunk < 1";
-  match supervision ~retries ~deadline with
-  | Some policy ->
-      fst (supervised_map ?pool ~policy ~partial:false ~chunk ~n ~f ())
-  | None -> (
-      let m = chunk_count ~n ~chunk in
-      match pool with
-      | Some p when Pool.domains p > 1 && m > 1 ->
-          let run_chunk c =
-            let lo = c * chunk in
-            let len = min chunk (n - lo) in
-            instrument_chunk ~items:len (fun () ->
-                let out = Array.make len (f lo) in
-                for k = 1 to len - 1 do
-                  out.(k) <- f (lo + k)
-                done;
-                out)
-          in
-          Array.concat (Array.to_list (par_chunks p ~m run_chunk))
-      | _ ->
-          (* Sequential path: chunked so the instrumentation reports the same
-             chunk/item counts as the parallel path; evaluation order (f 0,
-             f 1, …) is exactly that of Array.init. *)
-          if n = 0 then [||]
-          else begin
-            let out = ref [||] in
-            for c = 0 to m - 1 do
-              let lo = c * chunk in
-              let hi = min n (lo + chunk) - 1 in
-              instrument_chunk
-                ~items:(hi - lo + 1)
-                (fun () ->
-                  if c = 0 then out := Array.make n (f 0);
-                  let arr = !out in
-                  for i = max 1 lo to hi do
-                    arr.(i) <- f i
-                  done)
-            done;
-            !out
-          end)
+  check "map" ~n ~chunk;
+  let policy = Supervise.policy ~retries ?deadline () in
+  fst (run_map ~pool ~policy ~partial:false ~chunk ~n ~f)
 
 let map_partial ?pool ?(chunk = 16) ~policy ~n ~f () =
-  if n < 0 then invalid_arg "Task.map_partial: n < 0";
-  if chunk < 1 then invalid_arg "Task.map_partial: chunk < 1";
-  supervised_map ?pool ~policy ~partial:true ~chunk ~n ~f ()
+  check "map_partial" ~n ~chunk;
+  run_map ~pool ~policy ~partial:true ~chunk ~n ~f

@@ -8,22 +8,27 @@
     at all — the contract every equivalence test in [test/test_runner.ml]
     asserts.
 
-    When {!Pan_obs.Obs} is configured, every executed chunk — on the
-    parallel and the sequential path alike — increments the
-    [runner.chunks] and [runner.items] counters and records its duration
-    in the [runner.chunk] histogram, so metric totals are identical for
-    every pool size ([test/test_runner_obs.ml]).  Metric values never
-    feed back into results: collection cannot perturb determinism.
+    Every entry point runs through one engine, {!Supervise.run_chunks}:
+    a chunk's items are evaluated in ascending order into one array, and
+    the completed chunks are folded in ascending chunk order — as each
+    finishes when running sequentially, after the completion barrier on
+    a pool.
 
-    {b Supervision.}  [?retries] and [?deadline] put the run under the
-    {!Supervise} engine: failed chunk attempts are retried with a fresh
+    When {!Pan_obs.Obs} is configured, every executed chunk attempt — on
+    any pool size — increments the [runner.chunks] and [runner.items]
+    counters and records its duration in the [runner.chunk] histogram,
+    so metric totals are identical for every pool size
+    ([test/test_runner_obs.ml]).  Metric values never feed back into
+    results: collection cannot perturb determinism.
+
+    {b Supervision.}  [?retries] and [?deadline] set the run's
+    {!Supervise.policy}: failed chunk attempts are retried with a fresh
     {!Pan_numerics.Rng.copy} of the chunk's split generator (so a
     recovered run is bit-identical to a fault-free one, for any pool
-    size), and the deadline cancels chunks not yet started.  Runs with
-    neither — and no active {!Fault} spec — take the original
-    zero-overhead paths.  The [_partial] variants never raise on chunk
-    failure: they return the completed portion plus the failure
-    manifest (graceful degradation for long sweeps). *)
+    size), and the deadline cancels chunks not yet started.  An active
+    {!Fault} spec is applied to every run.  The [_partial] variants
+    never raise on chunk failure: they return the completed portion plus
+    the failure manifest (graceful degradation for long sweeps). *)
 
 open Pan_numerics
 
@@ -59,8 +64,9 @@ val map_reduce :
     pool remains usable, but the master [rng] state is unspecified.
 
     Without [?pool], or when the pool has a single domain, or when there
-    is at most one chunk, the purely sequential path is taken: no queue,
-    no domains, no intermediate buffers.
+    is at most one chunk, the chunks run sequentially on the calling
+    domain: no queue, no domains, and each chunk's items are folded
+    before the next chunk runs.
     @raise Invalid_argument if [n < 0] or [chunk < 1]. *)
 
 val map_reduce_partial :

@@ -24,13 +24,16 @@ let parse_line lineno text =
     | _ -> fail lineno text "expected at least 3 '|'-separated fields"
 
 (* A repeated line is harmless; a pair given a second, different
-   relationship is rejected here, at its line, rather than by [Graph]. *)
+   relationship is rejected here, at its line, rather than by [Graph].
+   An input without a single relationship is rejected at its last line,
+   not handed on as an empty graph that every statistic would choke on. *)
 let of_lines lines =
   let g = Graph.create () in
-  let lineno = ref 0 in
+  let lineno = ref 0 and last = ref "" in
   Seq.iter
     (fun text ->
       incr lineno;
+      last := text;
       match parse_line !lineno text with
       | None -> ()
       | Some (a, b, rel) -> (
@@ -50,6 +53,7 @@ let of_lines lines =
           | Graph.Peer -> Graph.add_peering g a b
           | Graph.Provider -> assert false))
     lines;
+  if Graph.num_ases g = 0 then fail (max 1 !lineno) !last "no AS relationships";
   g
 
 let of_string s = of_lines (String.split_on_char '\n' s |> List.to_seq)

@@ -23,8 +23,10 @@ val parse_line : int -> string -> (Asn.t * Asn.t * Graph.relationship) option
 val of_lines : string Seq.t -> Graph.t
 (** Build a graph from the lines of a dataset.  A repeated line is
     ignored.
-    @raise Parse_error on malformed input, or on a line giving a pair a
-    relationship other than the one an earlier line gave it. *)
+    @raise Parse_error on malformed input, on a line giving a pair a
+    relationship other than the one an earlier line gave it, or on an
+    input with no relationship line at all (reported at its last line,
+    line 1 when it is empty). *)
 
 val of_string : string -> Graph.t
 (** Parse a whole dataset held in memory. *)

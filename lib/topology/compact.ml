@@ -461,12 +461,18 @@ module Snapshot = struct
      to chew through). *)
   type cursor = { s : string; mutable pos : int; limit : int }
 
-  let read_u64 cur =
+  (* A table or array entry: its range is checked by the caller, which
+     knows what the word means. *)
+  let read_word cur =
     if cur.pos + 8 > cur.limit then
       err "truncated payload (need 8 bytes at byte offset %d, have %d)" cur.pos
         (cur.limit - cur.pos);
     let v = Int64.to_int (String.get_int64_le cur.s cur.pos) in
     cur.pos <- cur.pos + 8;
+    v
+
+  let read_u64 cur =
+    let v = read_word cur in
     if v < 0 then err "negative length field at byte offset %d" (cur.pos - 8);
     v
 
@@ -475,7 +481,7 @@ module Snapshot = struct
     (* [8 * n] could overflow; the division cannot *)
     if n > (cur.limit - cur.pos) / 8 then
       err "truncated payload (array of %d words at byte offset %d)" n cur.pos;
-    Array.init n (fun _ -> read_u64 cur)
+    Array.init n (fun _ -> read_word cur)
 
   let encode_core t =
     let buf = Buffer.create (64 * Array.length t.ids) in
@@ -500,22 +506,69 @@ module Snapshot = struct
     if n > (cur.limit - cur.pos) / 8 then
       err "truncated payload (ASN table of %d entries at byte offset %d)" n
         cur.pos;
-    let ids = Array.init n (fun _ -> Asn.of_int (read_u64 cur)) in
+    (* interning is a binary search over [ids] *)
+    let ids_pos = cur.pos in
+    let prev = ref (-1) in
+    let ids =
+      Array.init n (fun i ->
+          let v = read_word cur in
+          if v <= !prev then
+            err "ASN table entry %d at byte offset %d %s" v
+              (ids_pos + (8 * i))
+              (if v < 0 then "is negative"
+               else
+                 Printf.sprintf "does not exceed the previous entry %d" !prev);
+          prev := v;
+          Asn.of_int v)
+    in
+    (* Every row is checked once, in one linear pass: the rows are read
+       with unchecked indexing afterwards, so a resealed image with a
+       stray entry must fail here, at its byte offset. *)
     let read_csr name =
+      let off_pos = cur.pos + 8 in
       let off = read_int_array cur in
+      let adj_pos = cur.pos + 8 in
       let adj = read_int_array cur in
       if Array.length off <> n + 1 then
         err "%s offsets: expected %d entries, found %d" name (n + 1)
           (Array.length off);
-      if n >= 0 && (off.(0) <> 0 || off.(n) <> Array.length adj) then
+      if off.(0) <> 0 || off.(n) <> Array.length adj then
         err "%s offsets do not cover the adjacency array" name;
+      for i = 0 to n - 1 do
+        let lo = off.(i) and hi = off.(i + 1) in
+        (* [off.(n)] is the array length, so an offset past it implies a
+           later decrease *)
+        if hi < lo || hi > off.(n) then
+          err "%s offsets decrease after row %d at byte offset %d" name i
+            (off_pos + (8 * (i + 1)));
+        for k = lo to hi - 1 do
+          let v = adj.(k) in
+          if v < 0 || v >= n || v = i || (k > lo && v <= adj.(k - 1)) then
+            err "%s row %d: entry %d %s at byte offset %d" name i v
+              (if v < 0 || v >= n then Printf.sprintf "out of range [0, %d)" n
+               else if v = i then "is the row's own index"
+               else "breaks strictly ascending order")
+              (adj_pos + (8 * k))
+        done
+      done;
       (off, adj)
     in
     let prov_off, prov_adj = read_csr "provider" in
     let peer_off, peer_adj = read_csr "peer" in
     let cust_off, cust_adj = read_csr "customer" in
+    let counts_pos = cur.pos in
     let n_p2c = read_u64 cur in
     let n_p2p = read_u64 cur in
+    if n_p2c <> Array.length prov_adj || n_p2c <> Array.length cust_adj then
+      err
+        "provider-customer link count %d does not match the provider (%d) \
+         and customer (%d) adjacency lengths at byte offset %d"
+        n_p2c (Array.length prov_adj) (Array.length cust_adj) counts_pos;
+    if 2 * n_p2p <> Array.length peer_adj then
+      err
+        "peering link count %d does not match the peer adjacency length %d \
+         at byte offset %d"
+        n_p2p (Array.length peer_adj) (counts_pos + 8);
     if cur.pos <> cur.limit then
       err "core section has %d trailing bytes at byte offset %d"
         (cur.limit - cur.pos) cur.pos;

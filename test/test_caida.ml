@@ -37,7 +37,18 @@ let test_parse_errors () =
   expect_error "x|2|-1|bgp";
   expect_error "1|-7|-1|bgp";
   expect_error "1|2";
-  expect_error "7|7|0"
+  expect_error "7|7|0";
+  (* a whole input with no relationship line: empty, or comments only *)
+  let expect_no_relationships input ~line =
+    match Caida.of_string input with
+    | exception Caida.Parse_error e ->
+        Alcotest.(check (pair int string))
+          (Printf.sprintf "no relationships in %S" input)
+          (line, "no AS relationships") (e.line, e.reason)
+    | _ -> Alcotest.failf "expected Parse_error on %S" input
+  in
+  expect_no_relationships "" ~line:1;
+  expect_no_relationships "# serial-2\n\n# no links" ~line:3
 
 (* Whole-file errors name the offending line: a self-link, and a pair
    given a second relationship (either direction), used to escape as a

@@ -634,6 +634,60 @@ let test_snapshot_corruption_offsets () =
         offset %d"
        (String.length image))
 
+(* Rows are checked at load: each image below changes one word of the
+   CAIDA sample's core body and reseals the digest, so only the row
+   checks stand between it and a core that indexes out of bounds (the
+   out-of-range entry used to load, then fail on first use).  The
+   sample interns AS1..AS4 as 0..3; its core body starts at byte 54:
+   n at 54, the ASN table at 62, then per class (provider, peer,
+   customer) an offsets array (length word + 5 words) and an adjacency
+   array (length word + 2 words), 72 bytes each, and the p2c/p2p link
+   counts at 310 and 318.  Provider offsets are [0;0;1;1;2] from byte
+   102, provider entries [0;0] from 150; customer entries [1;3] from
+   294.  A negative entry used to fail as a "negative length field". *)
+let test_snapshot_row_checks () =
+  let c = Compact.freeze (Caida.of_string caida_sample) in
+  let image = Compact.Snapshot.to_string c in
+  Alcotest.(check int) "image layout" 326 (String.length image);
+  let payload = String.sub image 40 (String.length image - 40) in
+  let patched pos v =
+    let b = Bytes.of_string payload in
+    Bytes.set_int64_le b (pos - 40) (Int64.of_int v);
+    make_image ~n_sections:1 (Bytes.to_string b)
+  in
+  let expect name pos v msg =
+    Alcotest.check_raises name
+      (Invalid_argument ("Compact.Snapshot.load: " ^ msg))
+      (fun () -> ignore (Compact.Snapshot.of_string (patched pos v)))
+  in
+  expect "entry >= n" 150 (4 + 5)
+    "provider row 1: entry 9 out of range [0, 4) at byte offset 150";
+  expect "negative entry" 150 (-1)
+    "provider row 1: entry -1 out of range [0, 4) at byte offset 150";
+  expect "entry is the row's own index" 294 0
+    "customer row 0: entry 0 is the row's own index at byte offset 294";
+  expect "row not strictly ascending" 302 1
+    "customer row 0: entry 1 breaks strictly ascending order at byte \
+     offset 302";
+  expect "offsets decrease" 126 0
+    "provider offsets decrease after row 2 at byte offset 126";
+  expect "p2c count mismatch" 310 3
+    "provider-customer link count 3 does not match the provider (2) and \
+     customer (2) adjacency lengths at byte offset 310";
+  expect "p2p count mismatch" 318 2
+    "peering link count 2 does not match the peer adjacency length 2 at \
+     byte offset 318";
+  (* the ASN table (AS1..AS4 from byte 62) must ascend strictly *)
+  expect "ASN table not ascending" 70 5
+    "ASN table entry 3 at byte offset 78 does not exceed the previous \
+     entry 5";
+  expect "negative ASN" 62 (-1)
+    "ASN table entry -1 at byte offset 62 is negative";
+  (* the unpatched payload, resealed the same way, still loads *)
+  Alcotest.(check bool) "resealed original loads" true
+    (frozen_equal c
+       (fst (Compact.Snapshot.of_string (make_image ~n_sections:1 payload))))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_bitset_roundtrip;
@@ -664,4 +718,6 @@ let suite =
       test_snapshot_rejects_corruption;
     Alcotest.test_case "snapshot: errors name the byte offset" `Quick
       test_snapshot_corruption_offsets;
+    Alcotest.test_case "snapshot: rows checked at load" `Quick
+      test_snapshot_row_checks;
   ]

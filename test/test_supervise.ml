@@ -199,8 +199,8 @@ let test_deadline_raises_incomplete () =
 
 (* On a pool the cancellation point each chunk hits is scheduling-
    dependent, so only invariants are asserted: every chunk is accounted
-   for, completed slots hold the right value, and failures imply the
-   deadline actually expired. *)
+   for, each completed chunk's (c, 2c) result reaches the fold, and
+   failures imply the deadline actually expired. *)
 let test_deadline_pool_invariants () =
   let clock = Clock.virtual_ () in
   let (), _ =
@@ -208,17 +208,17 @@ let test_deadline_pool_invariants () =
     Pool.with_pool ~domains:4 @@ fun pool ->
     let policy = Supervise.policy ~deadline:1.0 () in
     let results, man =
-      Supervise.run_chunks ~pool ~policy ~partial:true ~m:12 (fun c ->
+      Supervise.run_chunks ~pool ~policy ~partial:true ~m:12
+        (fun c ->
           Clock.advance clock 0.3;
-          c * 2)
+          (c, c * 2))
+        ~fold:(fun acc r -> r :: acc)
+        ~init:[]
     in
     Alcotest.(check int) "all chunks accounted" 12
       (man.Supervise.completed_chunks + List.length man.Supervise.failures);
-    Array.iteri
-      (fun c r ->
-        match r with
-        | Some v -> Alcotest.(check int) "completed slot value" (c * 2) v
-        | None -> ())
+    List.iter
+      (fun (c, v) -> Alcotest.(check int) "completed chunk value" (c * 2) v)
       results;
     Alcotest.(check bool) "failures imply expiry" true
       (man.Supervise.failures = [] || man.Supervise.deadline_expired)
@@ -249,18 +249,55 @@ let test_partial_permanent_failure () =
   Alcotest.(check bool) "no deadline involved" false
     man.Supervise.deadline_expired
 
+(* Two failing chunks of two items: item 6 (chunk 3) and item 13
+   (chunk 6).  All-or-nothing mode must surface the lowest chunk index
+   (deterministic), not whichever failed first — so on a pool, item 6
+   waits (up to 5 s) until item 13 has failed, making completion order
+   name the wrong chunk. *)
 let test_lowest_failed_chunk_raises () =
-  (* Two failing chunks: all-or-nothing mode must surface the lowest
-     chunk index (deterministic), not whichever completed first. *)
-  Alcotest.check_raises "lowest failed chunk wins" (Failure "six") (fun () ->
-      Pool.with_pool ~domains:4 (fun pool ->
-          ignore
-            (Task.map ~pool ~chunk:2 ~retries:1 ~n:16
-               ~f:(fun i ->
-                 if i = 6 then failwith "six"
-                 else if i = 13 then failwith "thirteen"
-                 else i)
-               ())))
+  let run ?pool ~retries entry =
+    let thirteen_failed = Atomic.make false in
+    let item i =
+      if i = 13 then begin
+        Atomic.set thirteen_failed true;
+        failwith "thirteen"
+      end
+      else if i = 6 then begin
+        let give_up = Unix.gettimeofday () +. 5.0 in
+        while
+          Option.is_some pool
+          && (not (Atomic.get thirteen_failed))
+          && Unix.gettimeofday () < give_up
+        do
+          Unix.sleepf 0.001
+        done;
+        failwith "six"
+      end
+      else i
+    in
+    match entry with
+    | `Map -> ignore (Task.map ?pool ~chunk:2 ~retries ~n:16 ~f:item ())
+    | `Map_reduce ->
+        ignore
+          (Task.map_reduce ?pool ~retries ~rng:(Rng.create 1) ~n:16 ~chunk:2
+             ~f:(fun _ i -> item i)
+             ~combine:( + ) ~init:0 ())
+  in
+  Pool.with_pool ~domains:4 @@ fun p ->
+  List.iter
+    (fun (entry, name) ->
+      List.iter
+        (fun retries ->
+          List.iter
+            (fun (pool, where) ->
+              Alcotest.check_raises
+                (Printf.sprintf "%s, retries=%d, %s: lowest failed chunk wins"
+                   name retries where)
+                (Failure "six")
+                (fun () -> run ?pool ~retries entry))
+            [ (None, "no pool"); (Some p, "4-domain pool") ])
+        [ 0; 1 ])
+    [ (`Map, "Task.map"); (`Map_reduce, "Task.map_reduce") ]
 
 (* ------------------------------------------------------------------ *)
 (* Validation and spec parsing                                         *)
