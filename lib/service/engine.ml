@@ -4,11 +4,11 @@ module Intent = Pan_intent.Intent
 module Metric = Pan_intent.Metric
 module Candidates = Pan_intent.Candidates
 
-type link =
+type link = Compact.Delta.link =
   | Peer of int * int
   | Transit of { provider : int; customer : int }
 
-type event = Link_up of link | Link_down of link
+type event = Compact.Delta.edit = Link_up of link | Link_down of link
 type mode = Incremental | Refreeze
 
 type stats = {
@@ -197,63 +197,6 @@ let prefill ?pool:_ _ _ = ()
 (* ------------------------------------------------------------------ *)
 (* Churn                                                               *)
 
-let pp_as t i = Printf.sprintf "AS%d" (Asn.to_int (Compact.id t.topo i))
-
-let check_endpoints t i j =
-  check_index "apply" t i;
-  check_index "apply" t j;
-  if i = j then err "apply: self-link on %s" (pp_as t i)
-
-(* Per-pair link state during batch validation: later events of a batch
-   must see the effect of earlier ones (the sequential semantics), so
-   applicability is checked against the base topology shadowed by an
-   overlay of normalized pairs already edited in the batch. *)
-type lstate = Absent | Peered | Transit_pc of { provider : int }
-
-let base_state t lo hi =
-  if Compact.mem_peer t.topo lo hi then Peered
-  else if Compact.mem_customer t.topo lo hi then Transit_pc { provider = lo }
-  else if Compact.mem_customer t.topo hi lo then Transit_pc { provider = hi }
-  else Absent
-
-let check_applicable t overlay ev =
-  let state i j =
-    let lo, hi = if i < j then (i, j) else (j, i) in
-    match Hashtbl.find_opt overlay (lo, hi) with
-    | Some s -> s
-    | None -> base_state t lo hi
-  in
-  let set i j s =
-    let lo, hi = if i < j then (i, j) else (j, i) in
-    Hashtbl.replace overlay (lo, hi) s
-  in
-  match ev with
-  | Link_up (Peer (i, j)) | Link_up (Transit { provider = i; customer = j }) ->
-      check_endpoints t i j;
-      if state i j <> Absent then
-        err "apply: %s and %s are already linked" (pp_as t i) (pp_as t j);
-      set i j
-        (match ev with
-        | Link_up (Peer _) -> Peered
-        | _ -> Transit_pc { provider = i })
-  | Link_down (Peer (i, j)) ->
-      check_endpoints t i j;
-      if state i j <> Peered then
-        err "apply: %s and %s are not peers" (pp_as t i) (pp_as t j);
-      set i j Absent
-  | Link_down (Transit { provider; customer }) ->
-      check_endpoints t provider customer;
-      if state provider customer <> Transit_pc { provider } then
-        err "apply: %s is not a provider of %s" (pp_as t provider)
-          (pp_as t customer);
-      set provider customer Absent
-
-let endpoints = function
-  | Link_up (Peer (i, j)) | Link_down (Peer (i, j)) -> (i, j)
-  | Link_up (Transit { provider; customer })
-  | Link_down (Transit { provider; customer }) ->
-      (provider, customer)
-
 (* Sources whose answers can differ after flipping link (a, b): {a, b}
    and both endpoints' neighborhoods, taken on the topology before AND
    after the flip.  See DESIGN §6f for the sufficiency argument;
@@ -294,78 +237,60 @@ let refreeze topo evs =
     evs;
   Compact.freeze g
 
-let edit_of_event = function
-  | Link_up (Peer (i, j)) -> Compact.Delta.Add_peering (i, j)
-  | Link_down (Peer (i, j)) -> Compact.Delta.Remove_peering (i, j)
-  | Link_up (Transit { provider; customer }) ->
-      Compact.Delta.Add_provider_customer { provider; customer }
-  | Link_down (Transit { provider; customer }) ->
-      Compact.Delta.Remove_provider_customer { provider; customer }
-
 (* Intent invalidation over the masked candidate store.  Link-down is
    surgical: removing a link only deletes paths, so a cached K-best set
    none of whose paths traverse the link is still the K-best — only the
    entries indexed under the downed link are dropped.  Link-up has no
-   such argument (a new link can beat cached candidates anywhere), so
-   it flushes the intent store.  Scores never go stale: the metric
-   environment is pinned to the creation-time topology. *)
-let drop_intents t ev =
-  match ev with
-  | Link_up _ ->
-      let n = Hashtbl.length t.istore in
-      Hashtbl.reset t.istore;
-      Hashtbl.reset t.ilinks;
-      n
-  | Link_down _ -> (
-      let a, b = endpoints ev in
-      let lk = if a < b then (a, b) else (b, a) in
-      match Hashtbl.find_opt t.ilinks lk with
-      | None -> 0
-      | Some keys ->
-          (* Every listed key is cached.  Dropping an entry unlists it from
-             every link its paths traverse, this one included, so a later
-             answer for the same key is never dropped for links only the
-             earlier answer used. *)
-          let keys = !keys in
+   such argument (a new link can beat cached candidates anywhere), so a
+   batch with any link-up flushes the intent store.  Scores never go
+   stale: the metric environment is pinned to the creation-time
+   topology. *)
+let drop_intents t (a, b) =
+  let lk = if a < b then (a, b) else (b, a) in
+  match Hashtbl.find_opt t.ilinks lk with
+  | None -> 0
+  | Some keys ->
+      (* Every listed key is cached.  Dropping an entry unlists it from
+         every link its paths traverse, this one included, so a later
+         answer for the same key is never dropped for links only the
+         earlier answer used. *)
+      let keys = !keys in
+      List.iter
+        (fun k ->
           List.iter
-            (fun k ->
-              List.iter
-                (fun lk' ->
-                  let l = Hashtbl.find t.ilinks lk' in
-                  match List.filter (fun k' -> k' <> k) !l with
-                  | [] -> Hashtbl.remove t.ilinks lk'
-                  | rest -> l := rest)
-                (intent_links t.topo (Hashtbl.find t.istore k));
-              Hashtbl.remove t.istore k)
-            keys;
-          List.length keys)
+            (fun lk' ->
+              let l = Hashtbl.find t.ilinks lk' in
+              match List.filter (fun k' -> k' <> k) !l with
+              | [] -> Hashtbl.remove t.ilinks lk'
+              | rest -> l := rest)
+            (intent_links t.topo (Hashtbl.find t.istore k));
+          Hashtbl.remove t.istore k)
+        keys;
+      List.length keys
 
-(* Batch intent invalidation: any link-up flushes the store (same
-   argument as the single-event case — a new link can beat cached
-   candidates anywhere), otherwise each downed link drops its indexed
-   entries surgically. *)
 let drop_intents_batch t evs =
   if List.exists (function Link_up _ -> true | Link_down _ -> false) evs then (
     let n = Hashtbl.length t.istore in
     Hashtbl.reset t.istore;
     Hashtbl.reset t.ilinks;
     n)
-  else List.fold_left (fun acc ev -> acc + drop_intents t ev) 0 evs
+  else
+    List.fold_left
+      (fun acc ev -> acc + drop_intents t (Compact.Delta.endpoints ev))
+      0 evs
 
 let apply_batch t evs =
   match evs with
   | [] -> 0
   | _ ->
-      (* Validate the whole batch first (sequential semantics via the
-         overlay): on error nothing has mutated. *)
-      let overlay = Hashtbl.create 16 in
-      List.iter (check_applicable t overlay) evs;
+      (* Delta validates the whole batch before anything is installed:
+         on error the engine is unchanged. *)
       let before = t.topo in
       let after =
-        match t.mode with
-        | Incremental ->
-            Compact.Delta.apply_batch before (List.map edit_of_event evs)
-        | Refreeze -> refreeze before evs
+        match (Compact.Delta.apply_batch before evs, t.mode) with
+        | Error reason, _ -> err "apply: %s" reason
+        | Ok spliced, Incremental -> spliced
+        | Ok _, Refreeze -> refreeze before evs
       in
       t.topo <- after;
       (* Union of per-event affected sources.  Every source whose
@@ -378,7 +303,7 @@ let apply_batch t evs =
       let affected = Bitset.create ~width:n in
       List.iter
         (fun ev ->
-          let a, b = endpoints ev in
+          let a, b = Compact.Delta.endpoints ev in
           Bitset.add affected a;
           Bitset.add affected b;
           let absorb topo =

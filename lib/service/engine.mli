@@ -23,12 +23,13 @@
     but gives answers identical to a cold engine and to the whole-source
     enumeration.
 
-    Two {!mode}s update the topology: [Incremental] splices the CSR
-    adjacency through {!Pan_topology.Compact.Delta} (the incremental
-    freeze), [Refreeze] is {!refreeze}: thaw the pre-batch view, apply
-    the events to the {!Graph.t} and re-freeze it from scratch.  Both
-    maintain the same answers; {!refreeze} is the correctness oracle the
-    incremental path is checked against, byte-for-byte via
+    Every batch of events is validated and spliced by
+    {!Pan_topology.Compact.Delta.apply_batch} (the incremental freeze);
+    the engine itself only invalidates.  In [Refreeze] {!mode} the
+    engine then installs {!refreeze} instead of the splice: thaw the
+    pre-batch view, apply the events to the {!Graph.t} and re-freeze it
+    from scratch.  Both maintain the same answers; {!refreeze} is the
+    correctness oracle the splice is checked against, byte-for-byte via
     {!Pan_topology.Compact.Snapshot.to_string}.  Neither keeps a mutable
     graph between events: the engine holds only the frozen view and its
     stores.
@@ -40,17 +41,20 @@
 
 open Pan_topology
 
-type link =
+(** The link-edit types of {!Compact.Delta}, re-exported with the same
+    constructors: an event is a Delta edit, and {!apply_batch} hands a
+    batch to {!Compact.Delta.apply_batch} unconverted. *)
+type link = Compact.Delta.link =
   | Peer of int * int  (** endpoints as dense indices, either order *)
   | Transit of { provider : int; customer : int }
 
-type event = Link_up of link | Link_down of link
+type event = Compact.Delta.edit = Link_up of link | Link_down of link
 
 type mode =
   | Incremental  (** CSR splice per batch ({!Compact.Delta}) *)
   | Refreeze
-      (** {!Compact.freeze} of the thawed, edited view per batch — the
-          oracle *)
+      (** {!Compact.freeze} of the thawed, edited view per batch, after
+          the same Delta validation — the oracle *)
 
 type stats = {
   queries : int;
@@ -122,20 +126,21 @@ val apply : t -> event -> int
     affected store entries.  Returns the number of path-store entries
     invalidated.  Equivalent to [apply_batch t [ev]] (and implemented as
     such).
-    @raise Invalid_argument if the event is not applicable: link already
-    present on [Link_up], absent (or of the other class) on [Link_down],
-    out-of-range index, or self-link. *)
+    @raise Invalid_argument ["Engine.apply: "] followed by
+    {!Compact.Delta.apply_batch}'s reason if the event is not
+    applicable: link already present on [Link_up], absent (or of the
+    other class) on [Link_down], out-of-range index, or self-link. *)
 
 val apply_batch : t -> event list -> int
 (** Apply N churn events with the sequential semantics of folding
     {!apply} left-to-right — later events see the effect of earlier
     ones, and the resulting topology and memo state are identical — but
-    in one pass: one {!Compact.Delta.apply_batch} CSR splice
-    ([Incremental]) or one thaw, edit and {!Compact.freeze}
-    ([Refreeze]) for the whole batch, and one memo-invalidation sweep
-    over the union of affected sources.  The marketplace epoch loop
-    applies each epoch's signed agreements this way.  Returns the total
-    number of store entries invalidated.  Unlike the sequential fold,
+    in one pass: one {!Compact.Delta.apply_batch} validation and splice
+    for the whole batch (whose result [Refreeze] replaces with one thaw,
+    edit and {!Compact.freeze}), then one memo-invalidation sweep over
+    the union of affected sources.  The marketplace epoch loop applies
+    each epoch's signed agreements this way.  Returns the total number
+    of store entries invalidated.  Unlike the sequential fold,
     validation of the whole batch happens {e before} any mutation: on
     raise, the engine is unchanged.
     @raise Invalid_argument as {!apply}, against the state left by the

@@ -61,29 +61,22 @@ let index topo what x =
   | Some i -> i
   | None ->
       invalid_arg
-        (Printf.sprintf "Serve.run: %s AS%d is not in the topology" what
-           (Asn.to_int x))
+        (Printf.sprintf "%s AS%d is not in the topology" what (Asn.to_int x))
 
-let event_of_item topo = function
-  | Stream.Up (Stream.Peer (a, b)) ->
-      Engine.Link_up (Engine.Peer (index topo "endpoint" a, index topo "endpoint" b))
-  | Stream.Down (Stream.Peer (a, b)) ->
-      Engine.Link_down
-        (Engine.Peer (index topo "endpoint" a, index topo "endpoint" b))
-  | Stream.Up (Stream.Transit { provider; customer }) ->
-      Engine.Link_up
-        (Engine.Transit
-           {
-             provider = index topo "provider" provider;
-             customer = index topo "customer" customer;
-           })
-  | Stream.Down (Stream.Transit { provider; customer }) ->
-      Engine.Link_down
-        (Engine.Transit
-           {
-             provider = index topo "provider" provider;
-             customer = index topo "customer" customer;
-           })
+let event_of_item topo item =
+  let link = function
+    | Stream.Peer (a, b) ->
+        Engine.Peer (index topo "endpoint" a, index topo "endpoint" b)
+    | Stream.Transit { provider; customer } ->
+        Engine.Transit
+          {
+            provider = index topo "provider" provider;
+            customer = index topo "customer" customer;
+          }
+  in
+  match item with
+  | Stream.Up l -> Engine.Link_up (link l)
+  | Stream.Down l -> Engine.Link_down (link l)
   | Stream.Query _ | Stream.Intent_query _ ->
       invalid_arg "Serve.event_of_item: a query is not a churn event"
 
@@ -94,37 +87,48 @@ let run ?pool:_ ?(oracle = false) ?(mode = Engine.Incremental) ~topo stream =
     Buffer.add_string buf s;
     Buffer.add_char buf '\n'
   in
+  let serve item =
+    let t = Engine.topology engine in
+    match item with
+    | Stream.Query { src; dst; policy } ->
+        let src = index t "source" src in
+        let dst = index t "destination" dst in
+        line
+          (render_query t ~src ~dst ~policy
+             (Engine.query engine ~src ~dst ~policy))
+    | Stream.Intent_query { src; dst; intent } ->
+        let src = index t "source" src in
+        let dst = index t "destination" dst in
+        line
+          (render_intent_query t ~src ~dst intent
+             (Engine.intent_query engine ~src ~dst intent))
+    | Stream.Up _ | Stream.Down _ ->
+        let ev = event_of_item t item in
+        let dropped = Engine.apply engine ev in
+        if
+          oracle
+          && not
+               (String.equal
+                  (Compact.Snapshot.to_string (Engine.topology engine))
+                  (Compact.Snapshot.to_string (Engine.refreeze t [ ev ])))
+        then
+          failwith
+            "oracle divergence — incremental freeze does not match full \
+             re-freeze";
+        line (render_event t ev dropped)
+  in
   Obs.with_span "serve.drain" (fun () ->
-      List.iter
-        (fun item ->
-          let t = Engine.topology engine in
-          match item with
-          | Stream.Query { src; dst; policy } ->
-              let src = index t "source" src in
-              let dst = index t "destination" dst in
-              line
-                (render_query t ~src ~dst ~policy
-                   (Engine.query engine ~src ~dst ~policy))
-          | Stream.Intent_query { src; dst; intent } ->
-              let src = index t "source" src in
-              let dst = index t "destination" dst in
-              line
-                (render_intent_query t ~src ~dst intent
-                   (Engine.intent_query engine ~src ~dst intent))
-          | Stream.Up _ | Stream.Down _ ->
-              let ev = event_of_item t item in
-              let dropped = Engine.apply engine ev in
-              if
-                oracle
-                && not
-                     (String.equal
-                        (Compact.Snapshot.to_string (Engine.topology engine))
-                        (Compact.Snapshot.to_string (Engine.refreeze t [ ev ])))
-              then
-                failwith
-                  "Serve.run: oracle divergence — incremental freeze does \
-                   not match full re-freeze";
-              line (render_event t ev dropped))
+      List.iteri
+        (fun pos item ->
+          (* [pos] counts parsed items, not lines: [Stream.parse] drops
+             comments and blank lines. *)
+          let locate msg =
+            Printf.sprintf "Serve.run: item %d (%s): %s" (pos + 1)
+              (Stream.item_to_string item) msg
+          in
+          try serve item with
+          | Invalid_argument msg -> invalid_arg (locate msg)
+          | Failure msg -> failwith (locate msg))
         stream);
   let transcript = Buffer.contents buf in
   {

@@ -30,8 +30,9 @@ val event_of_item : Compact.t -> Stream.item -> Engine.event
     (dense indices).  Indices are stable under churn — the AS set never
     changes — so translating against any frozen view of the same
     topology is equivalent.
-    @raise Invalid_argument on a [Query] item or an AS not in the
-    topology. *)
+    @raise Invalid_argument on a [Query] item, or ["endpoint AS999 is
+    not in the topology"] (["provider ..."], ["customer ..."]) for an AS
+    not in the topology; {!run} prefixes the item's location. *)
 
 val render_query :
   Compact.t -> src:int -> dst:int -> policy:Path_enum.scenario -> int list ->
@@ -60,6 +61,13 @@ val run :
 (** [mode] defaults to [Incremental].  [pool] is ignored: it is accepted
     only so the repository benchmark, which passes one, compiles, and
     goes with that call.
+
+    An item that cannot be served fails located: the message is
+    ["Serve.run: item N (TEXT): "] followed by the underlying error,
+    where N is the item's 1-based position in [stream] and TEXT its
+    {!Stream.item_to_string}, e.g. ["Serve.run: item 3 (down peer AS8
+    AS10): Engine.apply: AS8 and AS10 are not peers"].  N counts items,
+    not lines: {!Stream.parse} drops comments and blank lines.
     @raise Invalid_argument on a stream item naming an AS not in the
     topology or an event not applicable in sequence.
     @raise Failure on oracle divergence. *)

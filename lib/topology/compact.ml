@@ -180,178 +180,159 @@ let thaw t =
 (* Incremental freeze: batch CSR splices                               *)
 
 module Delta = struct
-  let err name fmt =
-    Printf.ksprintf
-      (fun msg -> invalid_arg ("Compact.Delta." ^ name ^ ": " ^ msg))
-      fmt
+  type link = Peer of int * int | Transit of { provider : int; customer : int }
+  type edit = Link_up of link | Link_down of link
 
-  let check_index name t i =
-    if i < 0 || i >= num_ases t then
-      err name "index %d outside [0, %d)" i (num_ases t)
+  let endpoints (Link_up l | Link_down l) =
+    match l with
+    | Peer (i, j) -> (i, j)
+    | Transit { provider; customer } -> (provider, customer)
 
-  let check_endpoints name t i j =
-    check_index name t i;
-    check_index name t j;
-    if i = j then err name "self-link on AS%d" (Asn.to_int t.ids.(i))
+  (* A batch is validated once, against one overlay of link states keyed
+     by normalized pair (lo, hi): a pair's state is its overlay entry once
+     an earlier edit of the batch set one, else the base core's.  That is
+     the sequential semantics, up-down-up chains on one pair included, and
+     the pairs whose final state differs from the base are exactly the
+     ones the splice changes. *)
+  type state = Absent | Peered | Transit_pc of { provider : int }
 
-  (* N edits, one splice pass per relationship class.  Edits apply
-     left-to-right: validation sees the effect of earlier edits, and the
-     result is byte-identical (via Snapshot.to_string) to a from-scratch
-     freeze of the equivalently-edited graph, but the arrays are rebuilt
-     once instead of N times. *)
+  let base_state t lo hi =
+    if mem_peer t lo hi then Peered
+    else if mem_customer t lo hi then Transit_pc { provider = lo }
+    else if mem_customer t hi lo then Transit_pc { provider = hi }
+    else Absent
 
-  type edit =
-    | Add_peering of int * int
-    | Remove_peering of int * int
-    | Add_provider_customer of { provider : int; customer : int }
-    | Remove_provider_customer of { provider : int; customer : int }
+  exception Inapplicable of string
 
-  (* Directed membership overrides per class: (row, neighbor) -> final
-     presence.  Validation consults base CSR membership unless an
-     earlier edit in the batch overrode it, which reproduces the
-     sequential semantics exactly (including add-then-remove chains on
-     the same pair). *)
-  let mem_ov ov base (i, j) =
-    match Hashtbl.find_opt ov (i, j) with Some b -> b | None -> base i j
-
-  let rebuild_class n off adj ov =
-    if Hashtbl.length ov = 0 then (off, adj)
-    else begin
-      (* group membership overrides per row; each (row, v) key is
-         unique, so assoc lookups below are unambiguous *)
-      let rows = Hashtbl.create 16 in
-      Hashtbl.iter
-        (fun (i, v) present ->
-          let prev = try Hashtbl.find rows i with Not_found -> [] in
-          Hashtbl.replace rows i ((v, present) :: prev))
-        ov;
-      let off' = Array.make (n + 1) 0 in
-      for i = 0 to n - 1 do
-        let base = off.(i + 1) - off.(i) in
-        let delta =
-          match Hashtbl.find_opt rows i with
-          | None -> 0
-          | Some l ->
-              List.fold_left
-                (fun d (v, present) ->
-                  let was = row_mem off adj i v in
-                  if present && not was then d + 1
-                  else if (not present) && was then d - 1
-                  else d)
-                0 l
+  let final_states t edits =
+    let n = num_ases t in
+    let fail fmt = Printf.ksprintf (fun m -> raise (Inapplicable m)) fmt in
+    let as_ i = Printf.sprintf "AS%d" (Asn.to_int t.ids.(i)) in
+    let check_index i =
+      if i < 0 || i >= n then fail "index %d outside [0, %d)" i n
+    in
+    let overlay = Hashtbl.create 16 in
+    List.iter
+      (fun edit ->
+        let i, j = endpoints edit in
+        check_index i;
+        check_index j;
+        if i = j then fail "self-link on %s" (as_ i);
+        let lo, hi = if i < j then (i, j) else (j, i) in
+        let state =
+          match Hashtbl.find_opt overlay (lo, hi) with
+          | Some s -> s
+          | None -> base_state t lo hi
         in
-        off'.(i + 1) <- off'.(i) + base + delta
-      done;
-      let adj' = Array.make off'.(n) 0 in
-      for i = 0 to n - 1 do
-        match Hashtbl.find_opt rows i with
-        | None -> Array.blit adj off.(i) adj' off'.(i) (off.(i + 1) - off.(i))
-        | Some l ->
-            let adds =
-              List.filter_map
-                (fun (v, present) ->
-                  if present && not (row_mem off adj i v) then Some v else None)
-                l
-              |> List.sort compare
-            in
-            let removed v = List.assoc_opt v l = Some false in
-            (* merge the surviving base row with the sorted additions;
-               both sides are ascending, so the output row is too *)
-            let k = ref off'.(i) in
-            let bp = ref off.(i) in
-            let pending = ref adds in
-            let emit v =
-              adj'.(!k) <- v;
-              incr k
-            in
-            while !bp < off.(i + 1) || !pending <> [] do
-              match !pending with
-              | a :: rest when !bp >= off.(i + 1) || a < adj.(!bp) ->
-                  emit a;
-                  pending := rest
-              | _ ->
-                  let v = adj.(!bp) in
-                  incr bp;
-                  if not (removed v) then emit v
-            done
-      done;
+        let next =
+          match edit with
+          | Link_up _ when state <> Absent ->
+              fail "%s and %s are already linked" (as_ i) (as_ j)
+          | Link_up (Peer _) -> Peered
+          | Link_up (Transit _) -> Transit_pc { provider = i }
+          | Link_down (Peer _) ->
+              if state <> Peered then
+                fail "%s and %s are not peers" (as_ i) (as_ j);
+              Absent
+          | Link_down (Transit _) ->
+              if state <> Transit_pc { provider = i } then
+                fail "%s is not a provider of %s" (as_ i) (as_ j);
+              Absent
+        in
+        Hashtbl.replace overlay (lo, hi) next)
+      edits;
+    overlay
+
+  (* One class with its directed changes [(row, v, present)] spliced in,
+     each (row, v) at most once.  The adjacency array is copied in spans
+     with [Array.blit] between the places the changes, in (row, v) order,
+     insert or delete an entry, so untouched rows are copied whole and
+     only changed rows are walked; a row's offset shifts by the net change
+     of the rows before it.  No change: the class is shared. *)
+  let splice_class off adj changes =
+    let changes = Array.of_list (List.sort compare changes) in
+    if Array.length changes = 0 then (off, adj)
+    else begin
+      let n = Array.length off - 1 in
+      let grow len (_, _, present) = if present then len + 1 else len - 1 in
+      let len = Array.fold_left grow (Array.length adj) changes in
+      let off' = Array.make (n + 1) 0 and adj' = Array.make len 0 in
+      let src = ref 0 and dst = ref 0 and rows_done = ref 0 in
+      (* rows up to [r] hold no change still to come *)
+      let shift_rows r =
+        for i = !rows_done + 1 to r do
+          off'.(i) <- off.(i) + !dst - !src
+        done;
+        rows_done := r
+      in
+      let copy_to p =
+        Array.blit adj !src adj' !dst (p - !src);
+        dst := !dst + p - !src;
+        src := p
+      in
+      Array.iter
+        (fun (row, v, present) ->
+          shift_rows row;
+          let p = ref (max !src off.(row)) in
+          while !p < off.(row + 1) && adj.(!p) < v do
+            incr p
+          done;
+          copy_to !p;
+          (* validation guarantees [adj.(!p) = v] for a removal *)
+          if present then begin
+            adj'.(!dst) <- v;
+            incr dst
+          end
+          else incr src)
+        changes;
+      shift_rows n;
+      copy_to (Array.length adj);
       (off', adj')
     end
 
   let apply_batch t edits =
-    let n = num_ases t in
-    let peer_ov = Hashtbl.create 16 in
-    let cust_ov = Hashtbl.create 16 in
-    let prov_ov = Hashtbl.create 16 in
-    let mem_peer' i j = mem_ov peer_ov (mem_peer t) (i, j) in
-    let mem_customer' i j = mem_ov cust_ov (mem_customer t) (i, j) in
-    let mem_provider' i j = mem_ov prov_ov (mem_provider t) (i, j) in
-    let connected' i j = mem_provider' i j || mem_peer' i j || mem_customer' i j in
-    let check_unconnected name i j =
-      if connected' i j then
-        err name "AS%d and AS%d are already linked" (Asn.to_int t.ids.(i))
-          (Asn.to_int t.ids.(j))
-    in
-    let p2p = ref t.n_p2p and p2c = ref t.n_p2c in
-    List.iter
-      (fun edit ->
-        match edit with
-        | Add_peering (i, j) ->
-            let name = "add_peering" in
-            check_endpoints name t i j;
-            check_unconnected name i j;
-            Hashtbl.replace peer_ov (i, j) true;
-            Hashtbl.replace peer_ov (j, i) true;
-            incr p2p;
-            Obs.incr "topology.delta.add"
-        | Remove_peering (i, j) ->
-            let name = "remove_peering" in
-            check_endpoints name t i j;
-            if not (mem_peer' i j) then
-              err name "AS%d and AS%d are not peers" (Asn.to_int t.ids.(i))
-                (Asn.to_int t.ids.(j));
-            Hashtbl.replace peer_ov (i, j) false;
-            Hashtbl.replace peer_ov (j, i) false;
-            decr p2p;
-            Obs.incr "topology.delta.remove"
-        | Add_provider_customer { provider; customer } ->
-            let name = "add_provider_customer" in
-            check_endpoints name t provider customer;
-            check_unconnected name provider customer;
-            Hashtbl.replace cust_ov (provider, customer) true;
-            Hashtbl.replace prov_ov (customer, provider) true;
-            incr p2c;
-            Obs.incr "topology.delta.add"
-        | Remove_provider_customer { provider; customer } ->
-            let name = "remove_provider_customer" in
-            check_endpoints name t provider customer;
-            if not (mem_customer' provider customer) then
-              err name "AS%d is not a provider of AS%d"
-                (Asn.to_int t.ids.(provider))
-                (Asn.to_int t.ids.(customer));
-            Hashtbl.replace cust_ov (provider, customer) false;
-            Hashtbl.replace prov_ov (customer, provider) false;
-            decr p2c;
-            Obs.incr "topology.delta.remove")
-      edits;
-    if edits = [] then t
-    else begin
-      let peer_off, peer_adj = rebuild_class n t.peer_off t.peer_adj peer_ov in
-      let cust_off, cust_adj = rebuild_class n t.cust_off t.cust_adj cust_ov in
-      let prov_off, prov_adj = rebuild_class n t.prov_off t.prov_adj prov_ov in
-      Obs.incr "topology.delta.batch";
-      {
-        t with
-        peer_off;
-        peer_adj;
-        cust_off;
-        cust_adj;
-        prov_off;
-        prov_adj;
-        n_p2p = !p2p;
-        n_p2c = !p2c;
-      }
-    end
+    match final_states t edits with
+    | exception Inapplicable reason -> Error reason
+    | _ when edits = [] -> Ok t
+    | overlay ->
+        let peer = ref [] and cust = ref [] and prov = ref [] in
+        let change present lo hi = function
+          | Absent -> ()
+          | Peered -> peer := (lo, hi, present) :: (hi, lo, present) :: !peer
+          | Transit_pc { provider } ->
+              let customer = if provider = lo then hi else lo in
+              cust := (provider, customer, present) :: !cust;
+              prov := (customer, provider, present) :: !prov
+        in
+        Hashtbl.iter
+          (fun (lo, hi) final ->
+            let base = base_state t lo hi in
+            if final <> base then begin
+              change false lo hi base;
+              change true lo hi final
+            end)
+          overlay;
+        let peer_off, peer_adj = splice_class t.peer_off t.peer_adj !peer in
+        let cust_off, cust_adj = splice_class t.cust_off t.cust_adj !cust in
+        let prov_off, prov_adj = splice_class t.prov_off t.prov_adj !prov in
+        List.iter
+          (function
+            | Link_up _ -> Obs.incr "topology.delta.add"
+            | Link_down _ -> Obs.incr "topology.delta.remove")
+          edits;
+        Obs.incr "topology.delta.batch";
+        Ok
+          {
+            t with
+            peer_off;
+            peer_adj;
+            cust_off;
+            cust_adj;
+            prov_off;
+            prov_adj;
+            n_p2p = Array.length peer_adj / 2;
+            n_p2c = Array.length cust_adj;
+          }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -551,11 +532,11 @@ module Snapshot = struct
               (adj_pos + (8 * k))
         done
       done;
-      (off, adj)
+      (name, off, adj, adj_pos)
     in
-    let prov_off, prov_adj = read_csr "provider" in
-    let peer_off, peer_adj = read_csr "peer" in
-    let cust_off, cust_adj = read_csr "customer" in
+    let ((_, prov_off, prov_adj, _) as prov) = read_csr "provider" in
+    let ((_, peer_off, peer_adj, _) as peer) = read_csr "peer" in
+    let ((_, cust_off, cust_adj, _) as cust) = read_csr "customer" in
     let counts_pos = cur.pos in
     let n_p2c = read_u64 cur in
     let n_p2p = read_u64 cur in
@@ -572,6 +553,35 @@ module Snapshot = struct
     if cur.pos <> cur.limit then
       err "core section has %d trailing bytes at byte offset %d"
         (cur.limit - cur.pos) cur.pos;
+    (* Class [a] must be the transpose of class [b]: j in row i of [a]
+       iff i in row j of [b].  Rows of [a] are walked ascending, so the
+       rows of [a] that hold j are met in the order row j of [b] lists
+       them: [next.(j)] is the first entry of row j of [b] not yet met,
+       and each entry j of row i must meet i there.  The link counts
+       above make both classes equally long, so once every entry of [a]
+       has met one, every entry of [b] has been met. *)
+    let check_mirror (a_name, a_off, a_adj, a_pos) (b_name, b_off, b_adj, b_pos)
+        =
+      let unmirrored name adj pos row k other =
+        err "%s row %d: entry %d has no mirror in %s row %d at byte offset %d"
+          name row adj.(k) other adj.(k) (pos + (8 * k))
+      in
+      let next = Array.copy b_off in
+      for i = 0 to n - 1 do
+        for k = a_off.(i) to a_off.(i + 1) - 1 do
+          let j = a_adj.(k) in
+          let c = next.(j) in
+          if c = b_off.(j + 1) || b_adj.(c) <> i then
+            (* an entry below i was met by no row of [a] before i *)
+            if c < b_off.(j + 1) && b_adj.(c) < i then
+              unmirrored b_name b_adj b_pos j c a_name
+            else unmirrored a_name a_adj a_pos i k b_name;
+          next.(j) <- c + 1
+        done
+      done
+    in
+    check_mirror peer peer;
+    check_mirror prov cust;
     {
       ids;
       prov_off;

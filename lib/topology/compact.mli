@@ -99,12 +99,18 @@ val thaw : t -> Graph.t
 
 (** Link updates to a frozen view — the {e incremental freeze} used by
     the resident path-query service under link churn and by the
-    marketplace's epoch splice.
+    marketplace's epoch splice.  This module owns the link-edit type
+    and its validation: the path service's [Engine] re-exports the type
+    as its [link] and [event] and validates nothing itself.
 
-    One batch of edits is one splice pass per touched relationship
-    class, returning a {e new} [t]; untouched classes are shared with
-    the input, and the input itself is never mutated.  Cost is O(links
-    in each touched class + num_ases) per batch — far below a full
+    One batch of edits is validated once and spliced once, returning a
+    {e new} [t]; a class no edit changes is shared with the input, and
+    the input itself is never mutated.  In a changed class, only the
+    changed rows are merged; the rows between them are copied in spans
+    with [Array.blit] and their offsets shifted.  Cost per batch:
+    O(edits · log) to validate and sort, plus, per changed class, one
+    copy of its adjacency array and offsets (O(links in the class +
+    num_ases)) and a merge of each changed row — far below a full
     {!freeze}, which re-sorts every row from the hash-table builder.
 
     Invariant: the result is byte-identical (via {!Snapshot.to_string})
@@ -115,28 +121,34 @@ val thaw : t -> Graph.t
     Endpoints are dense indices (as used by the query layer), and the AS
     set never changes — churn flips links, not ASes. *)
 module Delta : sig
-  (** One link edit of a batch, endpoints as dense indices. *)
-  type edit =
-    | Add_peering of int * int
-    | Remove_peering of int * int
-    | Add_provider_customer of { provider : int; customer : int }
-    | Remove_provider_customer of { provider : int; customer : int }
+  type link =
+    | Peer of int * int  (** endpoints as dense indices, either order *)
+    | Transit of { provider : int; customer : int }
 
-  val apply_batch : t -> edit list -> t
-  (** [apply_batch t edits] applies the edits left-to-right, rebuilding
-      each touched relationship class in {e one} splice pass — the
-      marketplace epoch loop applies hundreds of signed agreements per
-      epoch this way, and [serve] churn replay uses the same entry
-      point.  Each edit is validated against the state left by the
-      earlier edits of the batch, so edits may revisit the same pair
-      (an add-then-remove chain leaves the pair as it was).  Increments
-      [topology.delta.add]/[remove] per edit plus one
-      [topology.delta.batch].
-      @raise Invalid_argument on the first edit that does not apply,
-      naming the edit ([Compact.Delta.add_peering: ...]) and the
-      offending ASNs: an out-of-range index, a self-link, adding a link
-      that already exists in any class, or removing one that does
-      not. *)
+  (** One link edit of a batch. *)
+  type edit = Link_up of link | Link_down of link
+
+  val endpoints : edit -> int * int
+  (** [(i, j)] of a [Peer (i, j)], [(provider, customer)] of a
+      [Transit]. *)
+
+  val apply_batch : t -> edit list -> (t, string) result
+  (** [apply_batch t edits] applies the edits left-to-right in one
+      splice — the marketplace epoch loop applies hundreds of signed
+      agreements per epoch this way, and [serve] churn replay uses the
+      same entry point.  Each edit is validated against the state left
+      by the earlier edits of the batch, so edits may revisit the same
+      pair (an up-then-down chain leaves the pair as it was).  On
+      success, increments [topology.delta.add]/[remove] per edit plus
+      one [topology.delta.batch] ([Ok t] and no counter for [[]]).
+
+      [Error reason] says why the first inapplicable edit fails, naming
+      the offending ASNs, and nothing is counted: an out-of-range index
+      (["index 9 outside [0, 5)"]), a self-link (["self-link on AS2"]),
+      a link up on a pair already linked in any class (["AS1 and AS2
+      are already linked"]), or a link down of a link that is absent or
+      of the other class (["AS1 and AS3 are not peers"], ["AS4 is not a
+      provider of AS5"]).  The caller prefixes its own name. *)
 end
 
 (** Immutable subgraph restrictions over a frozen view — the masked

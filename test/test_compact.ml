@@ -683,6 +683,13 @@ let test_snapshot_row_checks () =
      entry 5";
   expect "negative ASN" 62 (-1)
     "ASN table entry -1 at byte offset 62 is negative";
+  (* the classes must mirror each other: AS2's peer AS3 -> AS4, and
+     AS4's provider AS1 -> AS3, each leave a one-sided entry *)
+  expect "peer class not symmetric" 222 3
+    "peer row 1: entry 3 has no mirror in peer row 3 at byte offset 222";
+  expect "provider class does not mirror customer class" 158 2
+    "provider row 3: entry 2 has no mirror in customer row 2 at byte \
+     offset 158";
   (* the unpatched payload, resealed the same way, still loads *)
   Alcotest.(check bool) "resealed original loads" true
     (frozen_equal c
