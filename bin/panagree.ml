@@ -170,10 +170,11 @@ let with_run r f =
       f ~pool ~retries:r.retries ~deadline:r.deadline)
 
 (* Library validation errors (a corrupt snapshot, an unknown AS, a bad
-   stream line) end the run with a one-line diagnostic and exit 1. *)
+   stream line) and oracle divergences end the run with a one-line
+   diagnostic and exit 1. *)
 let or_exit f =
   try f ()
-  with Invalid_argument msg ->
+  with Invalid_argument msg | Failure msg ->
     Format.eprintf "panagree: %s@." msg;
     exit 1
 
@@ -594,7 +595,9 @@ let serve_cmd =
     let doc =
       "After every event, re-freeze the pre-event core with the event \
        applied and fail loudly if the incremental core ever diverges \
-       from it (frozen views are compared byte-for-byte)."
+       from it (frozen views are compared byte-for-byte); after every \
+       query, recompute its answer bypassing the store and fail loudly \
+       if the served answer differs."
     in
     Arg.(value & flag & info [ "oracle" ] ~doc)
   in

@@ -260,11 +260,17 @@ let generate ~topo ~(metric : Metric.ctx)
           let have = attrs (Compact.id topo i) (Compact.id topo j) in
           List.for_all (fun a -> List.mem a have) req
   in
-  let edge_ok i j = fence_ok i && fence_ok j && require_ok i j in
+  (* No fence and no requirement: no predicate, so the spur searches
+     make no call per relaxed link. *)
+  let edge_ok =
+    match (intent.geo_fence, intent.require) with
+    | None, [] -> None
+    | _ -> Some (fun i j -> fence_ok i && fence_ok j && require_ok i j)
+  in
   if not (fence_ok s && fence_ok d) then []
   else
     let paths =
-      k_shortest topo ~mask ~edge_ok ?max_hops:intent.max_hops ~src:s ~dst:d
+      k_shortest topo ~mask ?edge_ok ?max_hops:intent.max_hops ~src:s ~dst:d
         ~k:intent.k ()
     in
     Obs.incr ~by:(List.length paths) "intent.candidates.paths";

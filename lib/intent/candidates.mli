@@ -65,6 +65,8 @@ val generate :
     restriction, scored by the intent metric, best first.  [attrs]
     supplies per-link attributes for [require] clauses (default
     {!Intent.default_attrs}); ASes whose location is unknown to
-    [metric] fall outside any geo fence.  Records the
-    [intent.candidates] span and [intent.candidates.paths] counter.
+    [metric] fall outside any geo fence.  An intent with neither a geo
+    fence nor a [require] clause passes {!k_shortest} no [edge_ok].
+    Records the [intent.candidates] span and [intent.candidates.paths]
+    counter.
     @raise Invalid_argument on unknown endpoints or [src = dst]. *)

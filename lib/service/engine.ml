@@ -28,12 +28,16 @@ type store_key = int * int * Path_enum.scenario
    an exact key with structural hashing. *)
 type istore_key = int * int * string
 
+(* The intent is kept beside its answer: its [k] and [max_hops] decide
+   whether a link-up can change the answer ([survives_up]). *)
+type ientry = { intent : Intent.t; results : Candidates.result list }
+
 type t = {
   mode : mode;
   mutable topo : Compact.t;
   store : (store_key, int list) Hashtbl.t;
   store_keys : (int, (int * Path_enum.scenario) list ref) Hashtbl.t;
-  istore : (istore_key, Candidates.result list) Hashtbl.t;
+  istore : (istore_key, ientry) Hashtbl.t;
   ilinks : (int * int, istore_key list ref) Hashtbl.t;
       (** normalized (lo, hi) dense link -> intent entries whose cached
           candidate paths traverse it *)
@@ -164,10 +168,10 @@ let intent_query t ~src ~dst intent =
   Obs.time "serve.query" (fun () ->
       let key = (src, dst, Intent.to_string intent) in
       match Hashtbl.find_opt t.istore key with
-      | Some r ->
+      | Some e ->
           t.store_hits <- t.store_hits + 1;
           Obs.incr "serve.store_hits";
-          r
+          e.results
       | None ->
           t.store_misses <- t.store_misses + 1;
           Obs.incr "serve.store_misses";
@@ -176,7 +180,7 @@ let intent_query t ~src ~dst intent =
             Candidates.generate ~topo:t.topo ~metric intent
               ~src:(Compact.id t.topo src) ~dst:(Compact.id t.topo dst)
           in
-          Hashtbl.replace t.istore key results;
+          Hashtbl.replace t.istore key { intent; results };
           List.iter
             (fun lk ->
               match Hashtbl.find_opt t.ilinks lk with
@@ -237,47 +241,110 @@ let refreeze topo evs =
     evs;
   Compact.freeze g
 
-(* Intent invalidation over the masked candidate store.  Link-down is
-   surgical: removing a link only deletes paths, so a cached K-best set
-   none of whose paths traverse the link is still the K-best — only the
-   entries indexed under the downed link are dropped.  Link-up has no
-   such argument (a new link can beat cached candidates anywhere), so a
-   batch with any link-up flushes the intent store.  Scores never go
-   stale: the metric environment is pinned to the creation-time
-   topology. *)
-let drop_intents t (a, b) =
-  let lk = if a < b then (a, b) else (b, a) in
-  match Hashtbl.find_opt t.ilinks lk with
+(* Intent invalidation over the masked candidate store.  Scores never go
+   stale (the metric environment is pinned to the creation-time
+   topology), so an answer changes only if its top-K path set does.
+
+   Link-down is surgical: removing a link only deletes paths, so a
+   cached top-K none of whose paths traverse the link is still the
+   top-K — only the entries indexed under the downed link are dropped.
+
+   Link-up keeps every answer that no path through the new link (a, b)
+   can enter.  Such a path runs src … a – b … dst or src … b – a … dst,
+   and both halves are paths of the post-batch core, so it has at least
+   min(d(src, a) + d(b, dst), d(src, b) + d(a, dst)) + 2 ASes, d the hop
+   distance on that core.  An answer holding K candidates, the longest
+   of h ASes, stands if the bound exceeds h — strictly, since a new path
+   of exactly h ASes can still win on lex order.  An answer with fewer
+   than K candidates holds every path its intent admits, so it stands
+   only if the bound exceeds its max-hops, or if no path through the
+   link joins src to dst. *)
+
+(* Dropping an entry unlists its key from every link its paths traverse,
+   so a later answer for the same key is never dropped for links only
+   the earlier answer used. *)
+let drop_intent t key =
+  List.iter
+    (fun lk ->
+      let l = Hashtbl.find t.ilinks lk in
+      match List.filter (fun k -> k <> key) !l with
+      | [] -> Hashtbl.remove t.ilinks lk
+      | rest -> l := rest)
+    (intent_links t.topo (Hashtbl.find t.istore key).results);
+  Hashtbl.remove t.istore key
+
+let drop_link_intents t (a, b) =
+  match Hashtbl.find_opt t.ilinks (if a < b then (a, b) else (b, a)) with
   | None -> 0
   | Some keys ->
-      (* Every listed key is cached.  Dropping an entry unlists it from
-         every link its paths traverse, this one included, so a later
-         answer for the same key is never dropped for links only the
-         earlier answer used. *)
+      (* every listed key is cached *)
       let keys = !keys in
-      List.iter
-        (fun k ->
-          List.iter
-            (fun lk' ->
-              let l = Hashtbl.find t.ilinks lk' in
-              match List.filter (fun k' -> k' <> k) !l with
-              | [] -> Hashtbl.remove t.ilinks lk'
-              | rest -> l := rest)
-            (intent_links t.topo (Hashtbl.find t.istore k));
-          Hashtbl.remove t.istore k)
-        keys;
+      List.iter (drop_intent t) keys;
       List.length keys
 
-let drop_intents_batch t evs =
-  if List.exists (function Link_up _ -> true | Link_down _ -> false) evs then (
-    let n = Hashtbl.length t.istore in
-    Hashtbl.reset t.istore;
-    Hashtbl.reset t.ilinks;
-    n)
+(* BFS hop distances from [a] over [topo]; -1 where unreachable. *)
+let hop_distances topo a =
+  let n = Compact.num_ases topo in
+  let dist = Array.make n (-1) and queue = Array.make n a in
+  let tail = ref 1 and next = ref 0 in
+  let visit v =
+    if dist.(v) < 0 then (
+      dist.(v) <- !next;
+      queue.(!tail) <- v;
+      incr tail)
+  in
+  dist.(a) <- 0;
+  let head = ref 0 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    next := dist.(u) + 1;
+    Compact.iter_neighbors topo u visit
+  done;
+  dist
+
+(* Whether the answer [e] for (src, dst) stands after a link (a, b) comes
+   up, given the post-batch hop distances [da] from a and [db] from b. *)
+let survives_up e ~src ~dst (da, db) =
+  let via dx dy =
+    if dx.(src) < 0 || dy.(dst) < 0 then max_int else dx.(src) + dy.(dst) + 2
+  in
+  let fewest = min (via da db) (via db da) in
+  fewest = max_int
+  ||
+  if List.length e.results = e.intent.Intent.k then
+    fewest
+    > List.fold_left (fun h (r : Candidates.result) -> max h r.hops) 0 e.results
   else
+    match e.intent.Intent.max_hops with Some h -> fewest > h | None -> false
+
+let drop_intents_batch t evs =
+  let ups, downs =
+    List.partition (function Link_up _ -> true | Link_down _ -> false) evs
+  in
+  let dropped =
     List.fold_left
-      (fun acc ev -> acc + drop_intents t (Compact.Delta.endpoints ev))
-      0 evs
+      (fun acc ev -> acc + drop_link_intents t (Compact.Delta.endpoints ev))
+      0 downs
+  in
+  if ups = [] || Hashtbl.length t.istore = 0 then dropped
+  else
+    let dists =
+      List.map
+        (fun ev ->
+          let a, b = Compact.Delta.endpoints ev in
+          (hop_distances t.topo a, hop_distances t.topo b))
+        ups
+    in
+    let stale =
+      Hashtbl.fold
+        (fun ((src, dst, _) as key) e acc ->
+          if List.for_all (survives_up e ~src ~dst) dists then acc
+          else key :: acc)
+        t.istore []
+    in
+    List.iter (drop_intent t) stale;
+    dropped + List.length stale
 
 let apply_batch t evs =
   match evs with

@@ -104,10 +104,22 @@ val intent_query :
     geo embedding from seed 43, degree-gravity capacities from
     creation-time degrees; churn-added links fall back to endpoint
     midpoints and the same degree product), so cached answers are
-    invalidated by path-set changes only: a link-down drops exactly the
-    entries whose cached paths traverse the link, a link-up flushes the
-    intent store.  Both count into [stats.invalidated].  Hits and misses
-    share the policy store's counters.
+    invalidated by path-set changes only.  A link-down drops exactly the
+    entries whose cached paths traverse the link: removing a link only
+    deletes paths, so the rest keep their top K.  A link-up [(a, b)]
+    drops only the entries a path through the new link could enter.
+    Such a path has at least [m + 2] ASes, where [m] is
+    [min(d(src, a) + d(b, dst), d(src, b) + d(a, dst))] and [d] the hop
+    distance on the post-batch core, because both of its halves are
+    paths of that core.  An entry holding K candidates, the longest of
+    [h] ASes, stays if [m + 2 > h]; strictly, because a new path of [h]
+    ASes can still win on lex order.  An entry with fewer than K
+    candidates holds every path the intent admits, so it stays only if
+    [m + 2] exceeds the intent's [max-hops], or if the link cannot join
+    [src] to [dst] at all.  The engine runs these two BFS per link-up
+    only while the intent store holds entries.  Both rules count into
+    [stats.invalidated].  Hits and misses share the policy store's
+    counters.
     @raise Invalid_argument on an out-of-range index or [src = dst]. *)
 
 val intent_query_uncached :

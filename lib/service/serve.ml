@@ -87,21 +87,31 @@ let run ?pool:_ ?(oracle = false) ?(mode = Engine.Incremental) ~topo stream =
     Buffer.add_string buf s;
     Buffer.add_char buf '\n'
   in
+  (* Under the oracle every served answer is re-derived bypassing the
+     store, so a stale entry left by an invalidation rule fails here. *)
+  let check served fresh =
+    if served <> fresh then
+      failwith
+        "oracle divergence — stored answer differs from its uncached \
+         recomputation"
+  in
   let serve item =
     let t = Engine.topology engine in
     match item with
     | Stream.Query { src; dst; policy } ->
         let src = index t "source" src in
         let dst = index t "destination" dst in
-        line
-          (render_query t ~src ~dst ~policy
-             (Engine.query engine ~src ~dst ~policy))
+        let mids = Engine.query engine ~src ~dst ~policy in
+        if oracle then
+          check mids (Engine.query_uncached engine ~src ~dst ~policy);
+        line (render_query t ~src ~dst ~policy mids)
     | Stream.Intent_query { src; dst; intent } ->
         let src = index t "source" src in
         let dst = index t "destination" dst in
-        line
-          (render_intent_query t ~src ~dst intent
-             (Engine.intent_query engine ~src ~dst intent))
+        let results = Engine.intent_query engine ~src ~dst intent in
+        if oracle then
+          check results (Engine.intent_query_uncached engine ~src ~dst intent);
+        line (render_intent_query t ~src ~dst intent results)
     | Stream.Up _ | Stream.Down _ ->
         let ev = event_of_item t item in
         let dropped = Engine.apply engine ev in

@@ -10,10 +10,14 @@
 
     With [oracle:true], after every event the engine's new core is
     compared byte-for-byte ({!Pan_topology.Compact.Snapshot.to_string})
-    with {!Engine.refreeze} of the pre-event core and the event, and a
-    divergence raises [Failure] — the incremental freeze is never
-    silently wrong in a resident process.  The check keeps no second
-    engine, so the [serve.*] counters are the same with and without it.
+    with {!Engine.refreeze} of the pre-event core and the event, and
+    every served answer is compared with {!Engine.query_uncached} or
+    {!Engine.intent_query_uncached} on the current core; a divergence
+    raises [Failure] — neither the incremental freeze nor an
+    invalidation rule is ever silently wrong in a resident process.  The
+    check keeps no second engine, so the [serve.*] counters are the same
+    with and without it (the recomputations do add to
+    [path_enum.pair] and the [intent.candidates] span).
 
     The whole drain runs under a [serve.drain] {!Pan_obs.Obs} span. *)
 
@@ -70,4 +74,5 @@ val run :
     not lines: {!Stream.parse} drops comments and blank lines.
     @raise Invalid_argument on a stream item naming an AS not in the
     topology or an event not applicable in sequence.
-    @raise Failure on oracle divergence. *)
+    @raise Failure on oracle divergence, located like the errors
+    above: ["Serve.run: item N (TEXT): oracle divergence — ..."]. *)

@@ -245,11 +245,14 @@ module Delta = struct
 
   (* One class with its directed changes [(row, v, present)] spliced in,
      each (row, v) at most once.  The adjacency array is copied in spans
-     with [Array.blit] between the places the changes, in (row, v) order,
-     insert or delete an entry, so untouched rows are copied whole and
-     only changed rows are walked; a row's offset shifts by the net change
-     of the rows before it.  No change: the class is shared. *)
-  let splice_class off adj changes =
+     between the places the changes, in (row, v) order, insert or delete
+     an entry, so untouched rows are copied whole and only changed rows
+     are walked; a row's offset shifts by the net change of the rows
+     before it.  The spans are copied by a loop over [int array]s, not
+     [Array.blit]: a blit into a fresh major-heap array of values goes
+     through the write barrier once per word, a typed int store does not.
+     No change: the class is shared. *)
+  let splice_class (off : int array) (adj : int array) changes =
     let changes = Array.of_list (List.sort compare changes) in
     if Array.length changes = 0 then (off, adj)
     else begin
@@ -266,7 +269,10 @@ module Delta = struct
         rows_done := r
       in
       let copy_to p =
-        Array.blit adj !src adj' !dst (p - !src);
+        let shift = !dst - !src in
+        for i = !src to p - 1 do
+          adj'.(i + shift) <- adj.(i)
+        done;
         dst := !dst + p - !src;
         src := p
       in

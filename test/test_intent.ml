@@ -13,7 +13,8 @@
      bit-identical (scores and ranking) to a copy of the pre-refactor
      implementation on real beaconed candidate sets;
    - Engine intent memo: cached answers equal uncached recomputation
-     across link churn (surgical link-down drops, link-up flushes);
+     across link churn (link-downs drop the entries riding the link,
+     link-ups the entries a path through the new link could enter);
    - Probe determinism under an injected fault spec. *)
 
 open Pan_topology

@@ -601,6 +601,123 @@ let test_intent_drop_exact () =
     (Engine.stats e).Engine.store_hits;
   Alcotest.(check int) "down 3-4 drops it" 1 (down 3 4)
 
+(* A link-up drops only the intent entries a path through the new link
+   could enter.  AS1 reaches AS4 directly and through AS2 or AS3; a
+   tail AS4 - AS5 - AS6 - AS7 hangs off AS4. *)
+let test_intent_up_keeps_far () =
+  let g = Graph.create () in
+  List.iter
+    (fun (a, b) -> Graph.add_peering g (asn a) (asn b))
+    [ (1, 2); (2, 4); (1, 3); (3, 4); (1, 4); (4, 5); (5, 6); (6, 7) ];
+  let e = Engine.create (Compact.freeze g) in
+  let i x = Compact.index_of_exn (Engine.topology e) (asn x) in
+  let ask spec =
+    List.map
+      (fun r -> List.map Asn.to_int r.Pan_intent.Candidates.path)
+      (Engine.intent_query e ~src:(i 1) ~dst:(i 4)
+         (Pan_intent.Intent.parse_exn spec))
+  in
+  let apply ev a b = Engine.apply e (ev (Engine.Peer (i a, i b))) in
+  let up = apply (fun l -> Engine.Link_up l)
+  and down = apply (fun l -> Engine.Link_down l) in
+  let paths = Alcotest.(list (list int)) in
+  let k2 = "metric=hops; k=2" in
+  Alcotest.check paths "first answer" [ [ 1; 4 ]; [ 1; 2; 4 ] ] (ask k2);
+  Alcotest.(check int) "down 1-4 drops it" 1 (down 1 4);
+  Alcotest.check paths "re-cached on 3 ASes" [ [ 1; 2; 4 ]; [ 1; 3; 4 ] ]
+    (ask k2);
+  (* a path through 5-7 has at least d(1,5) + d(7,4) + 2 = 6 ASes *)
+  Alcotest.(check int) "up 5-7 is too far to beat 3 ASes" 0 (up 5 7);
+  Alcotest.check paths "still cached" [ [ 1; 2; 4 ]; [ 1; 3; 4 ] ] (ask k2);
+  Alcotest.(check int) "served from the store" 1
+    (Engine.stats e).Engine.store_hits;
+  Alcotest.(check int) "restoring 1-4 drops it" 1 (up 1 4);
+  Alcotest.check paths "direct path back" [ [ 1; 4 ]; [ 1; 2; 4 ] ] (ask k2);
+  (* Short of K, an answer holds every admitted path: it stands only
+     if a new path would break max-hops.  AS1 and AS4 have three paths,
+     so k=5 is short. *)
+  let capped = "metric=hops; k=5; max-hops=3" and open_ = "metric=hops; k=5" in
+  Alcotest.(check int) "capped: three paths" 3 (List.length (ask capped));
+  Alcotest.(check int) "uncapped: three paths" 3 (List.length (ask open_));
+  Alcotest.(check int) "up 2-3 (4 ASes) drops only the uncapped one" 1
+    (up 2 3);
+  Alcotest.(check int) "the uncapped one gains the paths via 2-3" 5
+    (List.length (ask open_))
+
+(* Every link-up rule against recomputation: random small graphs (0-2
+   route-server hubs), an intent stream under 0.35 churn with k in 1..6
+   and max-hops in {none, 3, 4} drawn per query, its events applied in
+   random mixed batches.  After every batch every (pair, intent) asked
+   so far must answer from the store exactly as it would uncached. *)
+let qcheck_intent_batches_equal_uncached =
+  QCheck.Test.make ~count:150
+    ~name:"intent store = uncached under mixed up/down batches"
+    QCheck.(int_range 1 10_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let params =
+        {
+          Gen.default_params with
+          Gen.n_tier1 = 3;
+          n_transit = 4 + Rng.int rng 6;
+          n_stub = 10 + Rng.int rng 20;
+          route_server_hubs = Rng.int rng 3;
+        }
+      in
+      let topo = Compact.freeze (Gen.graph (Gen.generate ~params ~seed ())) in
+      let random_intent () =
+        Pan_intent.Intent.make
+          ~metric:
+            [
+              { weight = 1.0; component = Pan_intent.Intent.Nlatency };
+              { weight = 1.0; component = Pan_intent.Intent.Nbandwidth };
+            ]
+          ~k:(1 + Rng.int rng 6)
+          ?max_hops:(Rng.choose rng [| None; Some 3; Some 4 |])
+          ()
+      in
+      let stream =
+        Stream.generate ~intent:(random_intent ()) ~rng ~topo ~requests:80
+          ~churn:0.35 ()
+      in
+      let e = Engine.create topo in
+      let asked = ref [] and pending = ref [] in
+      let check () =
+        List.iter
+          (fun (src, dst, intent) ->
+            if
+              Engine.intent_query e ~src ~dst intent
+              <> Engine.intent_query_uncached e ~src ~dst intent
+            then
+              QCheck.Test.fail_reportf "stale answer for (%d, %d) [%s]" src
+                dst (Pan_intent.Intent.to_string intent))
+          !asked
+      in
+      let apply_pending () =
+        if !pending <> [] then (
+          ignore (Engine.apply_batch e (List.rev !pending) : int);
+          pending := [];
+          check ())
+      in
+      List.iter
+        (function
+          | (Stream.Up _ | Stream.Down _) as item ->
+              pending := Serve.event_of_item topo item :: !pending;
+              if Rng.bool rng then apply_pending ()
+          | Stream.Intent_query { src; dst; _ } ->
+              let src = Compact.index_of_exn topo src
+              and dst = Compact.index_of_exn topo dst in
+              let intent = random_intent () in
+              if not (List.mem (src, dst, intent) !asked) then
+                asked := (src, dst, intent) :: !asked;
+              ignore
+                (Engine.intent_query e ~src ~dst intent
+                  : Pan_intent.Candidates.result list)
+          | Stream.Query _ -> ())
+        stream;
+      apply_pending ();
+      true)
+
 (* Bench part 12's smoke drain, whose fingerprint BENCH_intent.json
    records: an all-intent K = 8 stream under 2% churn on the 1k-AS
    graph. *)
@@ -623,7 +740,16 @@ let test_intent_drain_golden () =
       ~churn:0.02 ()
   in
   let out = Serve.run ~topo stream in
-  Alcotest.(check string) "fingerprint" "952c05c6aebe80889bd8f05d7f0f0238"
+  (* The answers alone, without the [link] lines whose invalidation
+     counts an invalidation rule sets. *)
+  let answers =
+    String.split_on_char '\n' out.Serve.transcript
+    |> List.filter (fun l -> not (String.starts_with ~prefix:"link " l))
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "answer lines" "4429816aca38f5f2cce5dd69dfdea0d8"
+    (Digest.to_hex (Digest.string answers));
+  Alcotest.(check string) "fingerprint" "7d18050f54db75eaa95e0d7dbd6b0294"
     out.Serve.fingerprint
 
 (* Bench part 11's smoke drain, whose fingerprint BENCH_serve.json
@@ -798,6 +924,9 @@ let suite =
       test_transcript_rendering;
     Alcotest.test_case "intent link-down drops exactly" `Quick
       test_intent_drop_exact;
+    Alcotest.test_case "intent link-up keeps entries it cannot beat" `Quick
+      test_intent_up_keeps_far;
+    QCheck_alcotest.to_alcotest qcheck_intent_batches_equal_uncached;
     Alcotest.test_case "intent drain = BENCH_intent.json" `Quick
       test_intent_drain_golden;
     Alcotest.test_case "serve drain = BENCH_serve.json" `Quick
