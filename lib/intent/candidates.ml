@@ -4,45 +4,58 @@ module Obs = Pan_obs.Obs
 (* ------------------------------------------------------------------ *)
 (* Deterministic Yen-style K shortest paths over the CSR               *)
 
-(* Paths are dense-index lists; order is (hops, then forward
+(* Paths are dense-index arrays; order is (hops, then forward
    lexicographic on the index sequence), which makes the enumeration a
    pure function of the frozen view + restriction — no hashing, no
    iteration-order dependence.
 
-   A spur search is a FIFO BFS backwards from dst that stops the moment
-   it labels the spur node: FIFO order labels nodes level by level, so
-   by then every node closer to dst carries its final distance, which is
-   all the walk reads.  The walk reconstructs the lexicographically
-   smallest minimum-hop path by always stepping to the smallest-index
-   allowed neighbor one level closer to the destination.
+   Every search is a FIFO BFS backwards from dst.  FIFO order labels
+   nodes level by level, so once it labels a node v every node closer
+   to dst carries its final distance, which is all a walk from v reads.
+   The walk reconstructs the lexicographically smallest minimum-hop path
+   by always stepping to the smallest-index allowed neighbor one level
+   closer to the destination.
 
-   All spur searches of one [k_shortest] call share one scratch, so a
-   search allocates only the path it returns.  Marks are stamped against
-   [base], which every search raises by [n]: [dist.(v) - base] is v's
-   distance iff [dist.(v) >= base], and v is blocked iff
-   [blocked.(v) >= base] — a root node of the current spur (stamped
-   [base]) or an AS the mask excludes (stamped [max_int]).  Every link a
-   Yen spur blocks starts at the spur, so the blocked links are kept as
-   the spur's forbidden next hops [avoid]. *)
+   A call keeps one such search over the masked subgraph with no root
+   node blocked — the labelling d0 — and grows it lazily: it expands
+   only until the node a spur asks about is labelled, and resumes from
+   there for the next spur.  A spur p.(i) (root nodes p.(0) .. p.(i-1),
+   forbidden next hops [avoid]) is answered from it when that provably
+   matches the restricted search.  Let w be its smallest-index allowed
+   first hop of least d0.  If d0(w) <= d0(p.(i)) and d0(w) <= d0(x) for
+   every labelled root node x, then every node below w on a d0-shortest
+   path is closer to dst than the spur and every root node, so no
+   blocked node or link changes those paths, and the answer is the spur
+   followed by the d0-walk from w (DESIGN §6g).  Otherwise a restricted
+   search runs for that spur alone.  Below the first hop the d0-walk
+   does not depend on the spur, so its steps are memoized per node.
 
-type scratch = {
+   Marks are stamped against [base], which a restricted search raises by
+   [n + 1]: [dist.(v) - base] is v's distance iff it lies in [0, n), a
+   root node of the current spur is stamped [base + n] and an AS the
+   mask excludes [max_int], so neither is ever relaxed or walked to.
+   Every link a Yen spur blocks starts at the spur, so the blocked links
+   are kept as the spur's forbidden next hops [avoid]. *)
+
+type search = {
   topo : Compact.t;
   dist : int array;
-  blocked : int array;
   queue : int array;
   down : (int * int) list;  (** the mask's excluded links, (lo, hi) *)
   edge_ok : (int -> int -> bool) option;
   mutable base : int;
+  mutable head : int;
   mutable tail : int;
-  mutable spur : int;
-  mutable avoid : int list;
+  mutable spur : int;  (** node the search stops at on labelling it *)
+  mutable avoid : int list;  (** [spur]'s forbidden next hops *)
   mutable cur : int;  (** node being expanded or walked from *)
-  mutable best : int;
+  mutable best : int;  (** smallest match of the current row scan *)
   relax : int -> unit;  (** BFS step from [cur] to a neighbor *)
   pick : int -> unit;  (** walk step from [cur] to a neighbor *)
 }
 
-exception Labelled
+(* Ends a BFS expansion that labelled its stop node, or a row scan *)
+exception Stop
 
 let rec link_mem (lo : int) (hi : int) = function
   | [] -> false
@@ -52,38 +65,50 @@ let link_ok s u v =
   (match s.down with
   | [] -> true
   | down -> not (if u < v then link_mem u v down else link_mem v u down))
-  && (if u = s.spur then not (List.mem v s.avoid)
-      else v <> s.spur || not (List.mem u s.avoid))
+  && (match s.avoid with
+     | [] -> true
+     | avoid ->
+         if u = s.spur then not (List.mem v avoid)
+         else v <> s.spur || not (List.mem u avoid))
   && match s.edge_ok with None -> true | Some f -> f u v
 
 let relax s v =
-  if s.dist.(v) < s.base && s.blocked.(v) < s.base && link_ok s s.cur v then (
+  if s.dist.(v) < s.base && link_ok s s.cur v then (
     s.dist.(v) <- s.dist.(s.cur) + 1;
-    if v = s.spur then raise_notrace Labelled;
     s.queue.(s.tail) <- v;
-    s.tail <- s.tail + 1)
+    s.tail <- s.tail + 1;
+    if v = s.spur then raise_notrace Stop)
 
-(* Off dst, [dist.(cur) - 1 >= base]: a match is labelled, so unblocked *)
+(* [cur] is labelled at distance >= 1, so a match is labelled too *)
 let pick s v =
-  if
-    (s.best < 0 || v < s.best)
-    && s.dist.(v) = s.dist.(s.cur) - 1
-    && link_ok s s.cur v
-  then s.best <- v
+  if v >= s.best then raise_notrace Stop
+  else if s.dist.(v) = s.dist.(s.cur) - 1 && link_ok s s.cur v then (
+    s.best <- v;
+    raise_notrace Stop)
 
-let scratch topo mask edge_ok =
+(* The smallest-index neighbor of [u] that [f] takes, or -1.  Each
+   relationship-class row is ascending, so [f] stops a row at its first
+   match (recorded in [s.best]) or once it passes [s.best]. *)
+let smallest s u f =
+  s.best <- max_int;
+  (try Compact.iter_providers s.topo u f with Stop -> ());
+  (try Compact.iter_peers s.topo u f with Stop -> ());
+  (try Compact.iter_customers s.topo u f with Stop -> ());
+  if s.best = max_int then -1 else s.best
+
+let search topo mask edge_ok =
   let n = Compact.num_ases topo in
-  let dist = Array.make n (-1) and blocked = Array.make n (-1) in
-  List.iter (fun v -> blocked.(v) <- max_int) (Compact.Mask.excluded_ases mask);
+  let dist = Array.make n (-1) in
+  List.iter (fun v -> dist.(v) <- max_int) (Compact.Mask.excluded_ases mask);
   let rec s =
     {
       topo;
       dist;
-      blocked;
       queue = Array.make n 0;
       down = Compact.Mask.excluded_links mask;
       edge_ok;
-      base = -n;
+      base = -n - 1;
+      head = 0;
       tail = 0;
       spur = -1;
       avoid = [];
@@ -95,48 +120,138 @@ let scratch topo mask edge_ok =
   in
   s
 
-(* The lex-smallest minimum-hop path from [p.(i)] to [dst] that avoids
-   the root nodes [p.(0) .. p.(i - 1)] and the spur's links to [avoid]. *)
-let shortest_path s p i ~avoid ~dst =
-  s.base <- s.base + Array.length s.dist;
-  let base = s.base in
-  for j = 0 to i - 1 do
-    s.blocked.(p.(j)) <- base
-  done;
-  let spur = p.(i) in
-  s.spur <- spur;
-  s.avoid <- avoid;
-  s.dist.(dst) <- base;
+(* Start over from [dst]: every label and root mark of earlier searches
+   lapses *)
+let restart s ~dst =
+  s.base <- s.base + Array.length s.dist + 1;
+  s.dist.(dst) <- s.base;
   s.queue.(0) <- dst;
-  s.tail <- 1;
-  let head = ref 0 in
-  (if spur <> dst then
-     try
-       while !head < s.tail do
-         s.cur <- s.queue.(!head);
-         incr head;
-         Compact.iter_neighbors s.topo s.cur s.relax
-       done
-     with Labelled -> ());
-  if s.dist.(spur) < base then None
+  s.head <- 0;
+  s.tail <- 1
+
+(* v's distance, negative while v is unlabelled *)
+let level s v = s.dist.(v) - s.base
+
+(* The head's row is expanded again if [Stop] cut it short, which
+   relabels nothing, so interrupted growth resumes in FIFO order. *)
+let expand s =
+  s.cur <- s.queue.(s.head);
+  Compact.iter_neighbors s.topo s.cur s.relax;
+  s.head <- s.head + 1
+
+(* Grow until [v] is labelled or nothing is left to expand *)
+let label s v =
+  s.spur <- v;
+  try
+    while s.dist.(v) < s.base && s.head < s.tail do
+      expand s
+    done
+  with Stop -> ()
+
+(* Grow until every node at distance [d] is labelled *)
+let complete_level s d =
+  s.spur <- -1;
+  while s.head < s.tail && level s s.queue.(s.head) < d do
+    expand s
+  done
+
+let next_hop s u =
+  s.cur <- u;
+  let v = smallest s u s.pick in
+  (* the labels were set over exactly these links, so a next hop
+     always exists *)
+  assert (v >= 0);
+  v
+
+(* [p.(0) .. p.(m - 1)], then [first], then [f] of the previous AS, up
+   to [len] ASes *)
+let walk p m first len f =
+  let q = Array.make len first in
+  Array.blit p 0 q 0 m;
+  for j = m + 1 to len - 1 do
+    q.(j) <- f q.(j - 1)
+  done;
+  q
+
+(* The root nodes [p.(0) .. p.(i - 1)], then the lex-smallest
+   minimum-hop path from [p.(i)] to [dst] that avoids them and the
+   spur's links to [avoid], if at most [max_len] ASes in all. *)
+let restricted s p i ~avoid ~dst ~max_len =
+  restart s ~dst;
+  let root = s.base + Array.length s.dist in
+  for j = 0 to i - 1 do
+    s.dist.(p.(j)) <- root
+  done;
+  s.avoid <- avoid;
+  let spur = p.(i) in
+  label s spur;
+  let d = level s spur in
+  if d < 0 || i + 1 + d > max_len then None
+  else Some (walk p i spur (i + 1 + d) (next_hop s))
+
+(* The d0-walk's step from [u], memoized in [memo] *)
+let step l memo u =
+  if memo.(u) < 0 then memo.(u) <- next_hop l u;
+  memo.(u)
+
+(* The smallest-index allowed first hop from [p.(i)] at d0 = [d] *)
+let first_hop l p i ~avoid d =
+  let spur = p.(i) in
+  let rec is_root v j = j < i && (p.(j) = v || is_root v (j + 1)) in
+  smallest l spur (fun w ->
+      if w >= l.best then raise_notrace Stop
+      else if
+        level l w = d
+        && link_ok l spur w
+        && (not (List.mem w avoid))
+        && not (is_root w 0)
+      then (
+        l.best <- w;
+        raise_notrace Stop))
+
+(* The least d0 of a labelled root node of spur [p.(i)] *)
+let nearest_root l p i =
+  let r = ref max_int in
+  for j = 0 to i - 1 do
+    let d = level l p.(j) in
+    if d >= 0 && d < !r then r := d
+  done;
+  !r
+
+(* [restricted] for spur [p.(i)], from the labelling [l] when the reuse
+   condition holds, else from the search [fallback] *)
+let spur_path l memo fallback p i ~avoid ~dst ~max_len =
+  let spur = p.(i) in
+  label l spur;
+  let ds = level l spur in
+  (* the restricted distance is at least d0 *)
+  if ds < 0 || i + 1 + ds > max_len then None
   else
-    let rec walk u =
-      if u = dst then [ u ]
-      else (
-        s.cur <- u;
-        s.best <- -1;
-        Compact.iter_neighbors s.topo u s.pick;
-        (* the labels were set over exactly these links, so a next hop
-           always exists *)
-        assert (s.best >= 0);
-        u :: walk s.best)
+    (* every node at d0 < ds is labelled *)
+    let r = nearest_root l p i in
+    let w =
+      if r < ds - 1 then -1
+      else
+        match first_hop l p i ~avoid (ds - 1) with
+        | -1 when r >= ds ->
+            complete_level l ds;
+            first_hop l p i ~avoid ds
+        | w -> w
     in
-    Some (walk spur)
+    if w < 0 then restricted (Lazy.force fallback) p i ~avoid ~dst ~max_len
+    else
+      let len = i + 2 + level l w in
+      if len > max_len then None else Some (walk p (i + 1) w len (step l memo))
 
 (* (hops, lex) total order on index paths *)
-let compare_paths p1 p2 =
-  match compare (List.length p1) (List.length p2) with
-  | 0 -> compare p1 p2
+let compare_paths (p : int array) (q : int array) =
+  match compare (Array.length p) (Array.length q) with
+  | 0 ->
+      let rec go j =
+        if j = Array.length p then 0
+        else match compare p.(j) q.(j) with 0 -> go (j + 1) | c -> c
+      in
+      go 0
   | c -> c
 
 let rec insert_sorted p = function
@@ -145,9 +260,9 @@ let rec insert_sorted p = function
       let c = compare_paths hd p in
       if c = 0 then l else if c < 0 then hd :: insert_sorted p tl else p :: l
 
-let rec take_prefix k l =
-  if k = 0 then []
-  else match l with [] -> [] | x :: tl -> x :: take_prefix (k - 1) tl
+(* [p] and [q] agree on their first [m] ASes *)
+let rec same_prefix p q m =
+  m = 0 || (p.(m - 1) = q.(m - 1) && same_prefix p q (m - 1))
 
 let k_shortest topo ?mask ?edge_ok ?max_hops ~src ~dst ~k () =
   if k < 1 then invalid_arg "Candidates.k_shortest: k must be >= 1";
@@ -155,57 +270,54 @@ let k_shortest topo ?mask ?edge_ok ?max_hops ~src ~dst ~k () =
   if src < 0 || src >= n || dst < 0 || dst >= n then
     invalid_arg "Candidates.k_shortest: endpoint outside [0, num_ases)";
   let mask = match mask with Some m -> m | None -> Compact.Mask.all topo in
-  let within_hops p =
-    match max_hops with None -> true | Some h -> List.length p <= h
-  in
+  let max_len = Option.value max_hops ~default:max_int in
   if not (Compact.Mask.allows_as mask src && Compact.Mask.allows_as mask dst)
   then []
-  else
-    let s = scratch topo mask edge_ok in
-    match shortest_path s [| src |] 0 ~avoid:[] ~dst with
+  else if k = 1 then
+    match
+      restricted (search topo mask edge_ok) [| src |] 0 ~avoid:[] ~dst
+        ~max_len
+    with
     | None -> []
-    | Some first when not (within_hops first) -> []
-    | Some first ->
-        let accepted = ref [ first ] in
-        let frontier = ref [] in
-        (* candidate paths, sorted ascending, deduplicated *)
-        let continue = ref true in
-        while List.length !accepted < k && !continue do
-          let last = List.nth !accepted (List.length !accepted - 1) in
-          let last_arr = Array.of_list last in
-          let len = Array.length last_arr in
-          (* One spur per position along the last accepted path. *)
-          for i = 0 to len - 2 do
-            let root = Array.sub last_arr 0 (i + 1) in
-            (* next hops of the accepted paths that share this root *)
+    | Some p -> [ Array.to_list p ]
+  else
+    let l = search topo mask edge_ok in
+    restart l ~dst;
+    label l src;
+    let d = level l src in
+    if d < 0 || d + 1 > max_len then []
+    else
+      let memo = Array.make n (-1) in
+      let fallback = lazy (search topo mask edge_ok) in
+      (* [accepted]: the accepted paths, newest ([last]) first;
+         [frontier]: the candidate paths, sorted ascending and
+         deduplicated *)
+      let rec grow count last accepted frontier =
+        if count = k then accepted
+        else
+          let frontier = ref frontier in
+          (* One spur per position along the last accepted path.  A spur
+             path leaves its root by a hop no accepted path sharing the
+             root takes, so it is never an accepted path. *)
+          for i = 0 to Array.length last - 2 do
             let avoid =
               List.filter_map
                 (fun p ->
-                  let p_arr = Array.of_list p in
-                  if
-                    Array.length p_arr > i + 1
-                    && Array.sub p_arr 0 (i + 1) = root
-                  then Some p_arr.(i + 1)
+                  if Array.length p > i + 1 && same_prefix p last (i + 1)
+                  then Some p.(i + 1)
                   else None)
-                !accepted
+                accepted
             in
-            match shortest_path s last_arr i ~avoid ~dst with
+            match spur_path l memo fallback last i ~avoid ~dst ~max_len with
             | None -> ()
-            | Some spur_path ->
-                let total = Array.to_list (Array.sub root 0 i) @ spur_path in
-                if
-                  within_hops total
-                  && (not (List.mem total !accepted))
-                  && not (List.exists (fun p -> p = total) !frontier)
-                then frontier := insert_sorted total !frontier
+            | Some p -> frontier := insert_sorted p !frontier
           done;
           match !frontier with
-          | [] -> continue := false
-          | best :: rest ->
-              frontier := rest;
-              accepted := !accepted @ [ best ]
-        done;
-        take_prefix k !accepted
+          | [] -> accepted
+          | best :: rest -> grow (count + 1) best (best :: accepted) rest
+      in
+      let first = walk [||] 0 src (d + 1) (step l memo) in
+      List.rev_map Array.to_list (grow 1 first [ first ] [])
 
 (* ------------------------------------------------------------------ *)
 (* Intent-driven candidate generation                                  *)

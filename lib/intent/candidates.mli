@@ -5,15 +5,23 @@
     {!Pan_topology.Compact} CSR: paths come out in a total order —
     AS-level hop count, then forward-lexicographic on the dense index
     sequence — making the result a pure function of the frozen view and
-    the restriction, byte-stable across runs and pool sizes.  Each spur
-    search is an unweighted BFS backwards from the destination that
-    stops as soon as it labels the spur node, then walks the
-    lexicographically smallest minimum-hop path from it.  All spur
-    searches of one call share one scratch (epoch-stamped distance
-    labels and blocked-node marks, one FIFO), so a search allocates only
-    the path it returns.  The subgraph is restricted by a
-    {!Pan_topology.Compact.Mask} plus an extra edge predicate (geo
-    fences, required link attributes).
+    the restriction, byte-stable across runs and pool sizes.  The
+    subgraph is restricted by a {!Pan_topology.Compact.Mask} plus an
+    extra edge predicate (geo fences, required link attributes).
+
+    A call keeps one unweighted BFS backwards from the destination over
+    that subgraph with no spur's blocks applied — the labelling d0 —
+    and grows it lazily, only until the node a spur asks about is
+    labelled.  A spur is answered from it when its smallest-index
+    allowed first hop w of least d0 is no farther from the destination
+    than the spur and every root node: then no blocked node or link
+    lies on a minimum-hop path from w, and the answer is the spur
+    followed by the lexicographically smallest minimum-hop walk from w,
+    whose steps are memoized per node for the call.  Otherwise (about
+    one spur in twenty on the serve-intent drain) that spur runs its own
+    BFS with its root nodes and avoided links blocked, stopping as soon
+    as it labels the spur.  A walk step scans each ascending
+    relationship-class row only up to its first match.
 
     {!generate} drives it from an {!Intent.t}: the intent's exclusions
     compose onto a caller-supplied base mask (e.g. the service's
@@ -40,8 +48,12 @@ val k_shortest :
     [edge_ok i j] is asked whether the link between [i] and [j] may be
     traversed, with the endpoints in either order, so it must be
     symmetric; without it no predicate is called.  [max_hops] bounds the
-    AS count per path.  [src = dst] yields [[[src]]].  Allocates O(n)
-    scratch once per call, none per spur.
+    AS count per path.  [src = dst] yields [[[src]]].  Scratch is per
+    call: [k = 1] runs one early-exit search (two n-word arrays); a
+    larger [k] allocates the labelling and its walk memo (three n-word
+    arrays), plus one restricted search (two more) on the first spur
+    the labelling cannot answer; no spur allocates more than its path
+    and a scan closure.
     @raise Invalid_argument if [k < 1] or an endpoint is out of range. *)
 
 type result = { path : Asn.t list; score : float; hops : int }

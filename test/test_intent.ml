@@ -7,6 +7,8 @@
      completeness and the deterministic tie-break;
    - qcheck reference: on generated topologies of a few hundred ASes,
      k_shortest equals the full-BFS Yen search kept in pan_oracle;
+   - two hand-built graphs where answering a spur from the call's
+     unrestricted labelling would be wrong, against both oracles;
    - Intent parse/print canonical round-trip (qcheck) and parse-error
      line/column positions (unit);
    - qcheck facade equivalence: the refactored Scion.Selection is
@@ -273,6 +275,53 @@ let qcheck_yen_deterministic =
       let src = seed mod n and dst = (seed + 1) mod n in
       Candidates.k_shortest topo ~src ~dst ~k:8 ()
       = Candidates.k_shortest topo ~src ~dst ~k:8 ())
+
+(* A spur is answered from the call's unrestricted labelling only when
+   its best first hop is no farther from dst than the spur and every
+   root node.  Two hand-built graphs (all peering, AS n = index n - 1)
+   where the shortcut would go wrong:
+   (a) on the path 1-2-3-5-6-7, spur AS3's best first hop AS4 reaches
+       AS7 in two hops only through the earlier root node AS2;
+   (b) spur AS2's best first hop AS3 is avoided after the first path,
+       so a sideways step to AS4 wins; once AS4 is avoided too, the only
+       hop left, AS6, is farther than the spur, and its shortest way on
+       runs back through the spur and the avoided link to AS3. *)
+let test_reuse_fallback () =
+  let graph links =
+    let g = Graph.create () in
+    List.iter (fun (a, b) -> Graph.add_peering g (asn a) (asn b)) links;
+    Compact.freeze g
+  in
+  let check name topo ~src ~dst =
+    let src = src - 1 and dst = dst - 1 in
+    let all =
+      brute_force topo
+        ~node_ok:(fun _ -> true)
+        ~edge_ok:(fun _ _ -> true)
+        ~max_hops:(Compact.num_ases topo) ~src ~dst
+    in
+    List.iter
+      (fun k ->
+        let got = Candidates.k_shortest topo ~src ~dst ~k () in
+        let what = Printf.sprintf "%s k=%d" name k in
+        Alcotest.(check (list (list int)))
+          (what ^ " = reference")
+          (Yen_reference.k_shortest topo ~src ~dst ~k ())
+          got;
+        Alcotest.(check (list (list int))) (what ^ " = brute force") (take k all)
+          got)
+      [ 1; 2; 3; 4; max_int ]
+  in
+  check "(a)"
+    (graph [ (1, 2); (2, 7); (2, 3); (2, 4); (3, 4); (3, 5); (5, 6); (6, 7) ])
+    ~src:1 ~dst:7;
+  check "(b)"
+    (graph
+       [
+         (1, 2); (2, 3); (3, 10); (2, 4); (4, 5); (5, 10); (2, 6); (6, 7);
+         (7, 8); (8, 9); (9, 10);
+       ])
+    ~src:1 ~dst:10
 
 (* ------------------------------------------------------------------ *)
 (* Intent syntax round-trip                                            *)
@@ -601,6 +650,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_yen_oracle_masked;
     QCheck_alcotest.to_alcotest qcheck_yen_reference;
     QCheck_alcotest.to_alcotest qcheck_yen_deterministic;
+    Alcotest.test_case
+      "k_shortest reuse falls back when a root node or an avoided hop matters"
+      `Quick test_reuse_fallback;
     QCheck_alcotest.to_alcotest qcheck_intent_roundtrip;
     Alcotest.test_case "parse normalizes to canonical form" `Quick
       test_parse_normalizes;
