@@ -783,8 +783,8 @@ let paths_cmd =
       "Path intent: a ';'-separated list of clauses.  'metric=' takes \
        '+'-joined weighted components (latency, nlatency, bandwidth, \
        nbandwidth, hops; e.g. 'metric=2*nlatency+nbandwidth'); 'k=N' \
-       bounds the candidate count; optional clauses: 'max-hops=N', \
-       'exclude-as=AS1,AS2', 'exclude-link=AS1-AS2', \
+       bounds the candidate count (1 to 1024); optional clauses: \
+       'max-hops=N', 'exclude-as=AS1,AS2', 'exclude-link=AS1-AS2', \
        'geo-fence=lat,lon,radius-km', 'require=encrypted,monitored'."
     in
     Arg.(

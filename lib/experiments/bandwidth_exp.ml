@@ -6,13 +6,9 @@ let run ?pool ?retries ?deadline ?(sample_size = 500) ?(seed = 7) g =
   let bw =
     Pan_obs.Obs.with_span "fig6/bw_model" (fun () -> Bandwidth.of_compact c)
   in
-  Pair_analysis.analyze ?pool ?retries ?deadline ~compact:c ~obs_prefix:"fig6"
-    ~sample_size ~seed ~graph:g ~metric:(Bandwidth.path3_bandwidth bw)
-    ~better:`Higher ()
-
-let run_default ?(params = Gen.default_params) ?(topology_seed = 42) () =
-  let g = Gen.graph (Gen.generate ~params ~seed:topology_seed ()) in
-  (g, run g)
+  Pair_analysis.analyze ?pool ?retries ?deadline ~sample_size ~seed
+    ~obs_prefix:"fig6" ~metric:(Bandwidth.path3_bandwidth bw) ~better:`Higher
+    c
 
 let pp fmt result =
   Pair_analysis.pp_counts ~label:"Fig.6a bandwidth" fmt result;

@@ -1,20 +1,14 @@
 open Pan_topology
 
-let run ?pool ?retries ?deadline ?(sample_size = 500) ?(seed = 7)
-    ?(geo_seed = 11) g =
+let run ?pool ?retries ?deadline ?(sample_size = 500) ?(seed = 7) g =
   (* One freeze serves both the geo embedding and the pair analysis. *)
   let c = Compact.freeze g in
   let geo =
     Pan_obs.Obs.with_span "fig5/geo_model" (fun () ->
-        Geo.of_compact ~seed:geo_seed c)
+        Geo.of_compact ~seed:11 c)
   in
-  Pair_analysis.analyze ?pool ?retries ?deadline ~compact:c ~obs_prefix:"fig5"
-    ~sample_size ~seed ~graph:g ~metric:(Geo.path3_geodistance geo)
-    ~better:`Lower ()
-
-let run_default ?(params = Gen.default_params) ?(topology_seed = 42) () =
-  let g = Gen.graph (Gen.generate ~params ~seed:topology_seed ()) in
-  (g, run g)
+  Pair_analysis.analyze ?pool ?retries ?deadline ~sample_size ~seed
+    ~obs_prefix:"fig5" ~metric:(Geo.path3_geodistance geo) ~better:`Lower c
 
 let pp fmt result =
   Pair_analysis.pp_counts ~label:"Fig.5a geodistance" fmt result;

@@ -13,17 +13,14 @@ val run :
   ?deadline:float ->
   ?sample_size:int ->
   ?seed:int ->
-  ?geo_seed:int ->
   Graph.t ->
   Pair_analysis.result
 (** Analyze all pairs with a GRC length-3 path among [sample_size]
-    sampled sources (defaults 500 / seed 7 / geo_seed 11).  Sources run
-    on [pool]; the result is bit-identical for any pool size.
-    [retries]/[deadline] supervise as in {!Pair_analysis.analyze}. *)
-
-val run_default : ?params:Gen.params -> ?topology_seed:int -> unit ->
-  Graph.t * Pair_analysis.result
-(** Generate the default synthetic topology and run. *)
+    sampled sources (defaults 500 / seed 7) under the geo embedding of
+    seed 11.  The graph is frozen once for both the embedding and
+    {!Pair_analysis.analyze}.  Sources run on [pool]; the result is
+    bit-identical for any pool size.  [retries]/[deadline] supervise as
+    in {!Pair_analysis.analyze}. *)
 
 val pp : Format.formatter -> Pair_analysis.result -> unit
 (** Fig. 5a and Fig. 5b tables. *)

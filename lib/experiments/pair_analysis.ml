@@ -11,13 +11,9 @@ type pair_counts = {
 
 type result = { pairs : pair_counts list; improvements : float list }
 
-let analyze ?pool ?retries ?deadline ?compact ?(obs_prefix = "pairs")
-    ?(sample_size = 500) ?(seed = 7) ~graph:g ~metric ~better () =
+let analyze ?pool ?retries ?deadline ?(sample_size = 500) ?(seed = 7)
+    ~obs_prefix ~metric ~better c =
   Obs.with_span (obs_prefix ^ "/analyze") @@ fun () ->
-  (* Callers that already hold a frozen view (e.g. to build the metric
-     model) pass it in; otherwise freeze here.  Either way the view is
-     shared read-only by every pool domain. *)
-  let c = match compact with Some c -> c | None -> Compact.freeze g in
   let rng = Rng.create seed in
   let all = Compact.asns c in
   let sample =
@@ -30,44 +26,31 @@ let analyze ?pool ?retries ?deadline ?compact ?(obs_prefix = "pairs")
     match better with `Lower -> v | `Higher -> -.v
   in
   (* Per-source analysis is pure, so sources run on the pool; the per-src
-     lists are concatenated in sample order below, reproducing exactly the
-     lists the previous sequential accumulation built.  Index order equals
-     ascending ASN order, so iterating destinations and mids by index
-     reproduces the legacy Asn.Map / Asn.Set accumulation order. *)
+     lists are concatenated in sample order below.  Destinations and mids
+     are visited by ascending index, which is ascending ASN order. *)
   let analyze_src src =
     Obs.incr (obs_prefix ^ ".sources");
     let si = Compact.index_of_exn c src in
     let pairs = ref [] in
     let improvements = ref [] in
-    let grc = Path_enum_compact.by_destination (Path_enum_compact.grc c si) in
-    let ma =
-      Path_enum_compact.by_destination
-        (Path_enum_compact.additional_paths c Ma_all si)
-    in
-    Path_enum_compact.iter_sets
-      (fun dsti grc_mids ->
+    let grc = Path_enum_compact.grc c si in
+    Bitset.iter
+      (fun dsti ->
         let dst = Compact.id c dsti in
-        let grc_scores =
-          let a = Array.make (Bitset.cardinal grc_mids) 0.0 in
-          let k = ref 0 in
-          Bitset.iter
-            (fun mi ->
-              a.(!k) <- score src (Compact.id c mi) dst;
-              incr k)
-            grc_mids;
-          a
-        in
+        (* One per-pair answer under [Ma_all] holds the pair's GRC mids and
+           its MA-added ones; a mid is GRC when its GRC row holds [dst].
+           No statistic below depends on the order of the scores. *)
+        let grc_scores = ref [] and ma_scores = ref [] in
+        List.iter
+          (fun mi ->
+            let s = score src (Compact.id c mi) dst in
+            match Path_enum_compact.find grc mi with
+            | Some zs when Bitset.mem zs dsti -> grc_scores := s :: !grc_scores
+            | _ -> ma_scores := s :: !ma_scores)
+          (Path_enum_compact.pair_paths c Ma_all ~src:si ~dst:dsti);
+        let grc_scores = Array.of_list !grc_scores and ma_scores = !ma_scores in
         let g_min, g_max = Stats.min_max grc_scores in
         let g_med = Stats.median grc_scores in
-        let ma_scores =
-          match Path_enum_compact.find ma dsti with
-          | Some mids ->
-              List.rev
-                (Bitset.fold
-                   (fun mi acc -> score src (Compact.id c mi) dst :: acc)
-                   mids [])
-          | None -> []
-        in
         let count pred = List.length (List.filter pred ma_scores) in
         let counts =
           {
@@ -80,22 +63,19 @@ let analyze ?pool ?retries ?deadline ?compact ?(obs_prefix = "pairs")
         pairs := counts :: !pairs;
         Obs.incr (obs_prefix ^ ".pairs");
         Obs.incr ~by:counts.ma_paths (obs_prefix ^ ".ma_paths");
-        match ma_scores with
-        | [] -> ()
-        | _ ->
-            let best_ma = List.fold_left Float.min infinity ma_scores in
-            if best_ma < g_min then begin
-              let improvement =
-                match better with
-                | `Lower -> 1.0 -. (best_ma /. g_min)
-                | `Higher ->
-                    (* scores are negated capacities *)
-                    (best_ma /. g_min) -. 1.0
-              in
-              Obs.incr (obs_prefix ^ ".improved");
-              improvements := improvement :: !improvements
-            end)
-      grc;
+        let best_ma = List.fold_left Float.min infinity ma_scores in
+        if best_ma < g_min then begin
+          let improvement =
+            match better with
+            | `Lower -> 1.0 -. (best_ma /. g_min)
+            | `Higher ->
+                (* scores are negated capacities *)
+                (best_ma /. g_min) -. 1.0
+          in
+          Obs.incr (obs_prefix ^ ".improved");
+          improvements := improvement :: !improvements
+        end)
+      (Path_enum_compact.dest_set grc);
     (!pairs, !improvements)
   in
   let per_src =
@@ -111,9 +91,11 @@ let analyze ?pool ?retries ?deadline ?compact ?(obs_prefix = "pairs")
   in
   { pairs; improvements }
 
+let fraction_where ~at_least select pairs =
+  Stats.fraction_where (fun pc -> select pc >= at_least) pairs
+
 let fraction_pairs_with result ~at_least select =
-  let arr = Array.of_list result.pairs in
-  Stats.fraction_where (fun pc -> select pc >= at_least) arr
+  fraction_where ~at_least select (Array.of_list result.pairs)
 
 let improvement_cdf result =
   match result.improvements with
@@ -121,17 +103,19 @@ let improvement_cdf result =
   | l -> Some (Stats.ecdf (Array.of_list l))
 
 let pp_counts ~label fmt result =
+  let pairs = Array.of_list result.pairs in
   Format.fprintf fmt "# %s: fraction of AS pairs with >= n better MA paths@."
     label;
   Format.fprintf fmt "%-4s %-12s %-12s %-12s %-12s@." "n" "vs_max"
     "vs_median" "vs_min" "any_MA_path";
   List.iter
     (fun n ->
+      let frac select = fraction_where ~at_least:n select pairs in
       Format.fprintf fmt "%-4d %-12.3f %-12.3f %-12.3f %-12.3f@." n
-        (fraction_pairs_with result ~at_least:n (fun p -> p.below_max))
-        (fraction_pairs_with result ~at_least:n (fun p -> p.below_median))
-        (fraction_pairs_with result ~at_least:n (fun p -> p.below_min))
-        (fraction_pairs_with result ~at_least:n (fun p -> p.ma_paths)))
+        (frac (fun p -> p.below_max))
+        (frac (fun p -> p.below_median))
+        (frac (fun p -> p.below_min))
+        (frac (fun p -> p.ma_paths)))
     [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
 
 let pp_improvements ~label fmt result =

@@ -29,14 +29,12 @@ val analyze :
   ?pool:Pan_runner.Pool.t ->
   ?retries:int ->
   ?deadline:float ->
-  ?compact:Compact.t ->
-  ?obs_prefix:string ->
   ?sample_size:int ->
   ?seed:int ->
-  graph:Graph.t ->
+  obs_prefix:string ->
   metric:(Asn.t -> Asn.t -> Asn.t -> float) ->
   better:[ `Lower | `Higher ] ->
-  unit ->
+  Compact.t ->
   result
 (** [metric src mid dst] scores a length-3 path; [better] says whether
     lower (geodistance) or higher (bandwidth) is preferable.  [metric]
@@ -44,15 +42,15 @@ val analyze :
     bit-identical for any pool size.  [retries]/[deadline] supervise the
     source chunks as in {!Pan_runner.Task.map}.
 
-    Path enumeration runs on the frozen {!Compact} view.  Pass [compact]
-    (which must be [Compact.freeze graph], or a view of an equal graph)
-    to share a view the caller already built — e.g. the one its metric
-    model was constructed from — instead of re-freezing.
+    For each of a sampled source's GRC destinations, ascending, one
+    {!Path_enum_compact.pair_paths} call under [Ma_all] gives the pair's
+    mids; those whose GRC row holds the destination are its GRC paths,
+    the rest its MA-added paths.  No n-bit set is built per destination.
 
     When {!Pan_obs.Obs} is configured, the analysis records the counters
-    [<obs_prefix>.sources], [.pairs], [.ma_paths] and [.improved]
-    (default prefix ["pairs"]; Fig. 5 uses ["fig5"], Fig. 6 ["fig6"])
-    under a [<obs_prefix>/analyze] span. *)
+    [<obs_prefix>.sources], [.pairs], [.ma_paths] and [.improved] (Fig. 5
+    uses ["fig5"], Fig. 6 ["fig6"]) under a [<obs_prefix>/analyze] span,
+    and [path_enum.pair] once per analyzed pair. *)
 
 val fraction_pairs_with : result -> at_least:int -> (pair_counts -> int) -> float
 (** Fraction of pairs whose selected counter is at least [at_least] — the
@@ -66,7 +64,8 @@ val improvement_cdf : result -> Stats.cdf option
 val pp_counts :
   label:string -> Format.formatter -> result -> unit
 (** The Fig. 5a/6a table: fractions of pairs with ≥ n paths satisfying
-    each comparison condition, for n in 1..10. *)
+    each comparison condition, for n in 1..10, all read from one array
+    of the pairs. *)
 
 val pp_improvements : label:string -> Format.formatter -> result -> unit
 (** The Fig. 5b/6b table: percentiles of relative improvement. *)

@@ -32,6 +32,10 @@ let norm_link name (a, b) =
   | c when c < 0 -> (a, b)
   | _ -> (b, a)
 
+(* The K-shortest search stops only at K paths or an empty frontier, so
+   an unbounded K would enumerate every simple path of the pair. *)
+let max_k = 1024
+
 let make ?(metric = [ { weight = 1.0; component = Latency } ]) ?(k = 1)
     ?max_hops ?(exclude_as = []) ?(exclude_link = []) ?geo_fence
     ?(require = []) () =
@@ -42,6 +46,8 @@ let make ?(metric = [ { weight = 1.0; component = Latency } ]) ?(k = 1)
         invalid_arg "Intent.make: metric weights must be finite")
     metric;
   if k < 1 then invalid_arg "Intent.make: k must be >= 1";
+  if k > max_k then
+    invalid_arg (Printf.sprintf "Intent.make: k must be <= %d" max_k);
   (match max_hops with
   | Some h when h < 1 -> invalid_arg "Intent.make: max-hops must be >= 1"
   | _ -> ());
@@ -255,7 +261,10 @@ let parse_spec s =
     Hashtbl.replace seen key ();
     match key with
     | "metric" -> metric := Some (List.map (parse_term s) (split_at v_start v '+'))
-    | "k" -> k := Some (parse_pos_int s "k" (v, v_start))
+    | "k" ->
+        let kv = parse_pos_int s "k" (v, v_start) in
+        if kv > max_k then fail s v_start "k must be <= %d, got %s" max_k v;
+        k := Some kv
     | "max-hops" ->
         max_hops := Some (parse_pos_int s "max-hops" (v, v_start))
     | "exclude-as" ->

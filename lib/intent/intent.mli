@@ -16,7 +16,7 @@
 
     {v
     metric=<term>(+<term>)*     term: [<weight>*]<component>
-    k=<int>                     candidate budget (>= 1, default 1)
+    k=<int>                     candidate budget (1..1024, default 1)
     max-hops=<int>              AS-level hop bound (>= 1)
     exclude-as=AS1,AS7          blocked ASes
     exclude-link=AS1-AS2,...    blocked links (endpoints either order)
@@ -56,7 +56,7 @@ type fence = { center : Geo.point; radius_km : float }
 
 type t = private {
   metric : term list;  (** non-empty; summed left to right, minimized *)
-  k : int;  (** candidate budget, >= 1 *)
+  k : int;  (** candidate budget, 1..1024 *)
   max_hops : int option;
   exclude_as : Asn.t list;  (** sorted, deduplicated *)
   exclude_link : (Asn.t * Asn.t) list;  (** normalized lo < hi, sorted *)
@@ -78,8 +78,10 @@ val make :
     normalizes link endpoints).  Defaults: [metric=latency], [k=1], no
     constraints.
     @raise Invalid_argument on an empty metric, non-finite weight,
-    [k < 1], [max_hops < 1], a non-positive fence radius, or a
-    self-link exclusion. *)
+    [k < 1] or [k > 1024], [max_hops < 1], a non-positive fence radius,
+    or a self-link exclusion.  The search stops only at [k] paths or when
+    none is left, so the bound keeps one query from enumerating every
+    simple path of a pair. *)
 
 val default : t
 (** [make ()]: single-candidate minimum-latency. *)

@@ -58,43 +58,6 @@ let union a b =
   done;
   of_sorted_rev ~width:a.width !acc
 
-let diff a b =
-  if a.width <> b.width then invalid_arg "Path_enum_compact.diff";
-  let acc = ref [] in
-  Array.iteri
-    (fun k mid ->
-      match find b mid with
-      | None -> acc := (mid, a.sets.(k)) :: !acc
-      | Some other ->
-          let d = Bitset.diff a.sets.(k) other in
-          if not (Bitset.is_empty d) then acc := (mid, d) :: !acc)
-    a.mids;
-  of_sorted_rev ~width:a.width !acc
-
-let by_destination m =
-  let per_dst = Array.make m.width None in
-  iter_sets
-    (fun mid zs ->
-      Bitset.iter
-        (fun z ->
-          let bs =
-            match per_dst.(z) with
-            | Some bs -> bs
-            | None ->
-                let bs = Bitset.create ~width:m.width in
-                per_dst.(z) <- Some bs;
-                bs
-          in
-          Bitset.unsafe_add bs mid)
-        zs)
-    m;
-  let acc = ref [] in
-  for z = m.width - 1 downto 0 do
-    match per_dst.(z) with Some bs -> acc := (z, bs) :: !acc | None -> ()
-  done;
-  let arr = Array.of_list !acc in
-  { width = m.width; mids = Array.map fst arr; sets = Array.map snd arr }
-
 let iter_paths f m =
   iter_sets (fun mid zs -> Bitset.iter (fun dst -> f ~mid ~dst) zs) m
 
@@ -244,8 +207,6 @@ let scenario_paths c scenario x =
         Bitset.of_list ~width:(Compact.num_ases c) (top_partners c ~n x)
       in
       union base (ma_direct ~partners c x)
-
-let additional_paths c scenario x = diff (scenario_paths c scenario x) (grc c x)
 
 (* ------------------------------------------------------------------ *)
 (* One pair                                                            *)

@@ -20,10 +20,12 @@
 
     Two questions are asked of it.  {!scenario_paths} answers "every
     path of a source" — one whole-source enumeration, counted under the
-    [path_enum.compact] metric — for the experiments, which need every
-    destination.  {!pair_paths} answers "the paths from one source to
-    one destination" off the two endpoints' rows, counted under
-    [path_enum.pair], for the path service. *)
+    [path_enum.compact] metric — for the experiments that count a
+    source's paths and destinations (Figs. 3–4).  {!pair_paths} answers
+    "the paths from one source to one destination" off the two
+    endpoints' rows, counted under [path_enum.pair], for the path
+    service and for the per-pair comparisons of Figs. 5–6, which ask it
+    once for each of a source's GRC destinations. *)
 
 type mid_sets
 (** Map from middle-AS index to the bitset of destination indices, mids
@@ -37,11 +39,6 @@ val dest_set : mid_sets -> Bitset.t
 (** Distinct destinations ("nearby destinations" in the paper). *)
 
 val union : mid_sets -> mid_sets -> mid_sets
-val diff : mid_sets -> mid_sets -> mid_sets
-
-val by_destination : mid_sets -> mid_sets
-(** Invert: destination index ↦ set of middle indices.  Used by the
-    per-pair geodistance and bandwidth analyses. *)
 
 val iter_sets : (int -> Bitset.t -> unit) -> mid_sets -> unit
 (** Visit [(mid, destinations)] rows, mids ascending. *)
@@ -118,5 +115,3 @@ val pair_paths :
     rows of the endpoint of smaller degree and binary-searches the
     other's: O(min(deg src, deg dst) · log), no n-bit sets. *)
 
-val additional_paths : Compact.t -> Path_enum.scenario -> int -> mid_sets
-(** [scenario_paths] minus the GRC baseline. *)

@@ -248,17 +248,13 @@ let qcheck_scenario_equivalence =
               mid_sets_equal
                 (Legacy.scenario_paths g s x)
                 (Legacy.to_mid_sets c
-                   (Path_enum_compact.scenario_paths c s i))
-              && mid_sets_equal
-                   (Legacy.additional_paths g s x)
-                   (Legacy.to_mid_sets c
-                      (Path_enum_compact.additional_paths c s i)))
+                   (Path_enum_compact.scenario_paths c s i)))
             scenarios)
         (Graph.ases g))
 
 let qcheck_primitive_equivalence =
   QCheck.Test.make ~count:12
-    ~name:"compact grc/ma_direct/ma_indirect/by_destination = legacy"
+    ~name:"compact grc/ma_direct/ma_indirect = legacy"
     QCheck.(int_range 1 1000)
     (fun seed ->
       let g = gen_graph ~n_transit:15 ~n_stub:50 seed in
@@ -275,12 +271,7 @@ let qcheck_primitive_equivalence =
           && mid_sets_equal
                (Legacy.ma_indirect g x)
                (Legacy.to_mid_sets c
-                  (Path_enum_compact.ma_indirect c i))
-          && mid_sets_equal
-               (Legacy.by_destination (Legacy.grc g x))
-               (Legacy.to_mid_sets c
-                  (Path_enum_compact.by_destination
-                     (Path_enum_compact.grc c i))))
+                  (Path_enum_compact.ma_indirect c i)))
         (Graph.ases g))
 
 let qcheck_concluded_equivalence =
@@ -359,19 +350,17 @@ let qcheck_pair_paths_equivalence =
         (fun s ->
           List.for_all
             (fun src ->
-              let by_dst =
-                Path_enum_compact.by_destination
-                  (Path_enum_compact.scenario_paths c s src)
-              in
+              let whole = Path_enum_compact.scenario_paths c s src in
               let legacy = Legacy.scenario_paths g s (Compact.id c src) in
               List.for_all
                 (fun dst ->
                   let pair = Path_enum_compact.pair_paths c s ~src ~dst in
-                  let compact =
-                    match Path_enum_compact.find by_dst dst with
-                    | Some mids -> Bitset.to_list mids
-                    | None -> []
-                  in
+                  let compact = ref [] in
+                  Path_enum_compact.iter_sets
+                    (fun mid zs ->
+                      if Bitset.mem zs dst then compact := mid :: !compact)
+                    whole;
+                  let compact = List.rev !compact in
                   let z = Compact.id c dst in
                   let oracle =
                     Asn.Map.fold

@@ -143,6 +143,106 @@ let test_improvement_cdf () =
       Alcotest.(check (float 1e-9)) "cdf complete" 1.0
         (Pan_numerics.Stats.cdf_at cdf 1.0)
 
+(* The whole-source analysis, independent of the per-pair one under
+   test: each source's GRC paths and its MA-added paths (Ma_all minus
+   GRC) from the ASN-set oracle, each inverted to destination -> mids,
+   every GRC destination scored from the two inversions.  Pairs and
+   improvements accumulate in the order [Pair_analysis] documents:
+   sources in ascending order, each source's destinations ascending,
+   every list built by consing. *)
+module Legacy = Pan_oracle.Path_enum_legacy
+
+let inversions g =
+  List.map
+    (fun src ->
+      ( src,
+        Legacy.by_destination (Legacy.grc g src),
+        Legacy.by_destination (Legacy.additional_paths g Legacy.Ma_all src) ))
+    (Graph.ases g)
+
+let reference_analysis ~metric ~better inversions =
+  let score src mid dst =
+    let v = metric src mid dst in
+    match better with `Lower -> v | `Higher -> -.v
+  in
+  let per_src (src, grc, ma) =
+    Asn.Map.fold
+      (fun dst grc_mids (pairs, improvements) ->
+        let scores mids =
+          List.map (fun mid -> score src mid dst) (Asn.Set.elements mids)
+        in
+        let grc_scores = Array.of_list (scores grc_mids) in
+        let g_min, g_max = Pan_numerics.Stats.min_max grc_scores in
+        let g_med = Pan_numerics.Stats.median grc_scores in
+        let ma_scores =
+          match Asn.Map.find_opt dst ma with
+          | Some mids -> scores mids
+          | None -> []
+        in
+        let count pred = List.length (List.filter pred ma_scores) in
+        let pc =
+          {
+            Pair_analysis.below_max = count (fun s -> s < g_max);
+            below_median = count (fun s -> s < g_med);
+            below_min = count (fun s -> s < g_min);
+            ma_paths = List.length ma_scores;
+          }
+        in
+        let best_ma = List.fold_left Float.min infinity ma_scores in
+        let improvements =
+          if ma_scores <> [] && best_ma < g_min then
+            (match better with
+            | `Lower -> 1.0 -. (best_ma /. g_min)
+            | `Higher -> (best_ma /. g_min) -. 1.0)
+            :: improvements
+          else improvements
+        in
+        (pc :: pairs, improvements))
+      grc ([], [])
+  in
+  List.fold_left
+    (fun (ps, is) inv ->
+      let lp, li = per_src inv in
+      (lp @ ps, li @ is))
+    ([], []) inversions
+
+(* Small Gen graphs of 20-300 ASes with 0-6 route-server hubs (a hub
+   makes some rows long, so both walk directions of [pair_paths] run),
+   every source sampled, under a lower-is-better and a higher-is-better
+   metric. *)
+let qcheck_pair_analysis_reference =
+  QCheck.Test.make ~count:32
+    ~name:"Pair_analysis = whole-source inversion reference"
+    QCheck.(triple (int_range 1 1000) (int_range 20 300) (int_range 0 6))
+    (fun (seed, size, hubs) ->
+      let n_tier1 = max 1 (min 12 (size / 20)) and n_transit = size / 5 in
+      let params =
+        {
+          Gen.default_params with
+          Gen.n_tier1;
+          n_transit;
+          n_stub = size - n_tier1 - n_transit;
+          route_server_hubs = hubs;
+        }
+      in
+      let g = Gen.graph (Gen.generate ~params ~seed ()) in
+      let c = Compact.freeze g in
+      let inv = inversions g in
+      let bits = List.map Int64.bits_of_float in
+      List.for_all
+        (fun (metric, better) ->
+          let got =
+            Pair_analysis.analyze ~sample_size:size ~obs_prefix:"test" ~metric
+              ~better c
+          in
+          let pairs, improvements = reference_analysis ~metric ~better inv in
+          got.Pair_analysis.pairs = pairs
+          && bits got.Pair_analysis.improvements = bits improvements)
+        [
+          (Geo.path3_geodistance (Geo.of_compact ~seed:11 c), `Lower);
+          (Bandwidth.path3_bandwidth (Bandwidth.of_compact c), `Higher);
+        ])
+
 (* ------------------------------------------------------------------ *)
 (* E7 gadgets                                                          *)
 
@@ -191,6 +291,7 @@ let suite =
     Alcotest.test_case "pair fractions monotone" `Quick
       test_fraction_pairs_monotone_in_n;
     Alcotest.test_case "improvement cdf" `Quick test_improvement_cdf;
+    QCheck_alcotest.to_alcotest qcheck_pair_analysis_reference;
     Alcotest.test_case "gadget report" `Quick test_gadget_report;
     Alcotest.test_case "methods report" `Slow test_methods_report;
   ]

@@ -417,6 +417,14 @@ let check_error spec line col frag =
 let test_parse_error_positions () =
   check_error "metric=bogus" 1 8 "unknown metric component";
   check_error "metric=latency; k=0" 1 19 "k";
+  check_error "metric=latency; k=1025" 1 19 "k must be <= 1024, got 1025";
+  check_error "k = 1000000000; metric=latency" 1 5
+    "k must be <= 1024, got 1000000000";
+  Alcotest.(check int) "k = 1024 parses" 1024
+    (Intent.parse_exn "metric=latency; k=1024").Intent.k;
+  Alcotest.check_raises "make rejects k > 1024"
+    (Invalid_argument "Intent.make: k must be <= 1024") (fun () ->
+      ignore (Intent.make ~k:1025 ()));
   check_error "metric=latency; k=4; k=2" 1 22 "duplicate";
   check_error "metric=" 1 8 "unknown metric component";
   check_error "metric=latency; geo-fence=1,2" 1 27 "geo-fence";

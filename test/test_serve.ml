@@ -867,6 +867,10 @@ let test_stream_parse_errors () =
     "down peer AS4 AS4";
   expect "intent to itself" "Stream.parse: line 1: intent from AS8 to itself"
     "intent AS8 AS8 metric=latency; k=2";
+  expect "intent k above the bound"
+    "Stream.parse: line 2: intent spec (col 34): k must be <= 1024, got \
+     5000"
+    "query AS1 AS2 grc\nintent AS1 AS2 metric=latency; k=5000\n";
   Alcotest.(check int) "a query to itself stays valid" 1
     (List.length (Stream.parse "query AS8 AS8 ma-all"))
 
