@@ -159,12 +159,15 @@ let split_at base v sep =
 let parse_asn s (tok, off) =
   let bad () = fail s off "expected an AS number like AS42, got %S" tok in
   if String.length tok < 3 || String.sub tok 0 2 <> "AS" then bad ();
-  match int_of_string_opt (String.sub tok 2 (String.length tok - 2)) with
-  | Some n when n >= 0 -> Asn.of_int n
-  | _ -> bad ()
+  match
+    Pan_numerics.Decimal.nat_of_string_opt
+      (String.sub tok 2 (String.length tok - 2))
+  with
+  | Some n -> Asn.of_int n
+  | None -> bad ()
 
 let parse_pos_int s name (tok, off) =
-  match int_of_string_opt tok with
+  match Pan_numerics.Decimal.nat_of_string_opt tok with
   | Some n when n >= 1 -> n
   | Some _ -> fail s off "%s must be >= 1, got %s" name tok
   | None -> fail s off "expected an integer %s, got %S" name tok

@@ -28,12 +28,10 @@ let policy_of_label = function
   | "ma-direct" -> Some Path_enum.Ma_direct_only
   | s -> (
       match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "ma-top" -> (
-          match
-            int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-          with
-          | Some n when n >= 0 -> Some (Path_enum.Ma_top n)
-          | _ -> None)
+      | Some i when String.sub s 0 i = "ma-top" ->
+          Decimal.nat_of_string_opt
+            (String.sub s (i + 1) (String.length s - i - 1))
+          |> Option.map (fun n -> Path_enum.Ma_top n)
       | _ -> None)
 
 let pp_asn x = Printf.sprintf "AS%d" (Asn.to_int x)
@@ -67,9 +65,11 @@ let err line fmt =
 let parse_asn line tok =
   let fail () = err line "expected an AS number like AS42, got %S" tok in
   if String.length tok < 3 || not (String.sub tok 0 2 = "AS") then fail ();
-  match int_of_string_opt (String.sub tok 2 (String.length tok - 2)) with
-  | Some n when n >= 0 -> Asn.of_int n
-  | _ -> fail ()
+  match
+    Decimal.nat_of_string_opt (String.sub tok 2 (String.length tok - 2))
+  with
+  | Some n -> Asn.of_int n
+  | None -> fail ()
 
 (* A link or an intent names two distinct ASes; a query from an AS to
    itself is valid and answers "no paths". *)

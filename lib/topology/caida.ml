@@ -9,9 +9,9 @@ let parse_line lineno text =
     match String.split_on_char '|' trimmed with
     | as1 :: as2 :: rel :: _rest -> (
         let parse_asn s =
-          match int_of_string_opt (String.trim s) with
-          | Some n when n >= 0 -> Asn.of_int n
-          | _ -> fail lineno text (Printf.sprintf "bad AS number %S" s)
+          match Pan_numerics.Decimal.nat_of_string_opt (String.trim s) with
+          | Some n -> Asn.of_int n
+          | None -> fail lineno text (Printf.sprintf "bad AS number %S" s)
         in
         let a = parse_asn as1 and b = parse_asn as2 in
         if Asn.equal a b then

@@ -174,18 +174,46 @@ let ma_gain_count c ~side ~via =
   end;
   up - self - !shared
 
+(* Best first: gain descending, then index ascending. *)
+module Ranked = Set.Make (struct
+  type t = int * int
+
+  let compare (g1, y1) (g2, y2) =
+    match Int.compare g2 g1 with 0 -> Int.compare y1 y2 | c -> c
+end)
+
+(* Exact top-n by bound-pruned scan, as in the market's candidate
+   search.  A peer y of x holds x in its own peer row, so x gains at
+   most up(y) − 1 destinations through y.  The row is walked in
+   ascending index, the tie order, holding the best min(n, |peers(x)|)
+   (gain, index) pairs so far.  Once that many are held, a later peer
+   enters only with a gain strictly above the worst held one's, since an
+   equal gain ranks behind on index; so a peer whose bound does not
+   exceed that gain is skipped uncounted. *)
 let top_partners c ~n x =
   if n < 0 then invalid_arg "Path_enum_compact.top_partners: n < 0";
-  let scored = ref [] in
-  Compact.iter_peers c x (fun y ->
-      scored := (ma_gain_count c ~side:x ~via:y, y) :: !scored);
-  let sorted =
-    List.sort
-      (fun (c1, y1) (c2, y2) ->
-        match compare c2 c1 with 0 -> compare y1 y2 | c -> c)
-      !scored
-  in
-  List.filteri (fun i _ -> i < n) sorted |> List.map snd
+  let k = min n (Compact.peers_count c x) in
+  let held = ref Ranked.empty and size = ref 0 in
+  (* the k-th held gain; none until k are held *)
+  let kth = ref min_int in
+  if k > 0 then
+    Compact.iter_peers c x (fun y ->
+        if !size < k then begin
+          held := Ranked.add (ma_gain_count c ~side:x ~via:y, y) !held;
+          incr size;
+          if !size = k then kth := fst (Ranked.max_elt !held)
+        end
+        else if
+          Compact.providers_count c y + Compact.peers_count c y - 1 > !kth
+        then begin
+          let g = ma_gain_count c ~side:x ~via:y in
+          if g > !kth then begin
+            let worst = Ranked.max_elt !held in
+            held := Ranked.add (g, y) (Ranked.remove worst !held);
+            kth := fst (Ranked.max_elt !held)
+          end
+        end);
+  List.map snd (Ranked.elements !held)
 
 let economic_paths ~concluded c x =
   let partners = Bitset.create ~width:(Compact.num_ases c) in

@@ -85,6 +85,20 @@ val top_partners : Compact.t -> n:int -> int -> int list
 (** The [n] peers whose MA would directly give the source the most new
     paths ({!ma_gain_count}), best first (ties broken by index, i.e. by
     AS number).
+
+    An exact bound-pruned scan, not a ranking of every peer: a peer [y]
+    of the source [x] holds [x] in its own peer row, so
+    [ma_gain_count c ~side:x ~via:y <= providers_count y + peers_count y
+    - 1].  The row is walked in ascending index, at most
+    [min n (peers_count x)] (gain, index) pairs are held (the best so
+    far), and once that many are, a peer whose bound does not exceed
+    the [n]-th held gain is skipped without counting: a later index
+    with an equal gain ranks behind the held one.  The answer, ties and
+    order included, is that of counting every peer and sorting.  In the
+    worst case no bound prunes ([n >= peers_count x], or gains rising
+    with the index) and each of the [p] peers is counted, as a full
+    sort would; the held set then costs O(p log min(n, p)) on top,
+    against the sort's O(p log p).
     @raise Invalid_argument if [n < 0]. *)
 
 val economic_paths : concluded:(int -> int -> bool) -> Compact.t -> int ->

@@ -25,7 +25,9 @@ let test_parse_line_variants () =
   Alcotest.(check bool) "blank is None" true (Caida.parse_line 1 "   " = None);
   (* older serials have no source field *)
   Alcotest.(check bool) "no source field" true
-    (Caida.parse_line 1 "10|20|0" <> None)
+    (Caida.parse_line 1 "10|20|0" <> None);
+  Alcotest.(check bool) "leading zeros and padding" true
+    (Caida.parse_line 1 "007| 8 |0" <> None)
 
 let test_parse_errors () =
   let expect_error line =
@@ -70,6 +72,13 @@ let test_located_errors () =
     ~reason:"AS2 and AS1 are already linked with another relationship";
   expect "p2p then p2c" "5|6|0\n5|6|-1\n" ~line:2 ~text:"5|6|-1"
     ~reason:"AS5 and AS6 are already linked with another relationship";
+  (* AS numbers are plain decimal digits, not OCaml literals *)
+  List.iter
+    (fun (text, field) ->
+      expect text ("1|2|-1\n" ^ text ^ "\n") ~line:2 ~text
+        ~reason:(Printf.sprintf "bad AS number %S" field))
+    [ ("0x2|3|0", "0x2"); ("+2|3|0", "+2"); ("5|-0|-1", "-0");
+      ("2|3_0|0", "3_0") ];
   (* repeating a relationship, or a peering from the other side, is fine *)
   let g = Caida.of_string "1|2|-1\n1|2|-1\n2|3|0\n3|2|0\n" in
   Alcotest.(check (pair int int)) "duplicates collapse" (1, 1)

@@ -328,6 +328,100 @@ let qcheck_top_partners_equivalence =
               (Path_enum_compact.top_partners c ~n i))
         (Graph.ases g))
 
+let top_partner_ns = [ 0; 1; 2; 3; 5; max_int ]
+
+let pp_idx l = String.concat "," (List.map string_of_int l)
+
+(* The bound-pruned scan against the full sort of the oracle library,
+   from every source.  Route-server hubs give some ASes thousands of
+   peers, so the bound prunes most of a hub's row; n runs from none to
+   every peer. *)
+let qcheck_top_partners_reference =
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 2 200) (int_range 20 1_800) (int_range 1 10)
+        (int_range 1 10_000))
+  in
+  QCheck.Test.make ~count:8 ~name:"top_partners: bound-pruned scan = full sort"
+    (QCheck.make gen ~print:(fun (t, s, hubs, seed) ->
+         Printf.sprintf "transit=%d stubs=%d hubs=%d seed=%d" t s hubs seed))
+    (fun (n_transit, n_stub, route_server_hubs, seed) ->
+      let params =
+        { Gen.default_params with Gen.n_transit; n_stub; route_server_hubs }
+      in
+      let c = Compact.freeze (Gen.graph (Gen.generate ~params ~seed ())) in
+      List.for_all
+        (fun n ->
+          List.for_all
+            (fun x ->
+              let got = Path_enum_compact.top_partners c ~n x in
+              let want = Pan_oracle.Top_partners_reference.top_partners c ~n x in
+              got = want
+              || QCheck.Test.fail_reportf "source %d, n = %d:@.got  %s@.want %s"
+                   x n (pp_idx got) (pp_idx want))
+            (List.init (Compact.num_ases c) Fun.id))
+        top_partner_ns)
+
+(* Every peer of AS100 has the same bound, 6, and AS10i gains i: it
+   peers with AS100, with the first 6 − i of AS100's customers
+   AS201..206 and with i fillers of its own.  So gains rise with the
+   index and the best partners come last, the scan's worst order: no
+   bound prunes and each peer displaces the worst held one.  The peers
+   of AS300 and AS500 all tie at gain 2, so the lowest indices win.
+   AS30i peers with AS401 and AS402 only, so its bound is 2 too and,
+   once n are held, every later peer is pruned at the tie.  AS50i also
+   peers with AS500's customer AS599, so its bound is 3: every peer is
+   counted, and an equal gain must not displace a held one. *)
+let test_top_partners_worst_order () =
+  let g = Graph.create () in
+  let m = 6 in
+  Graph.add_provider_customer g ~provider:(asn 500) ~customer:(asn 599);
+  for i = 1 to m do
+    let p = asn (100 + i) in
+    Graph.add_provider_customer g ~provider:(asn 100) ~customer:(asn (200 + i));
+    Graph.add_peering g (asn 100) p;
+    for j = 1 to m - i do
+      Graph.add_peering g p (asn (200 + j))
+    done;
+    for j = 1 to i do
+      Graph.add_peering g p (asn (1000 + (10 * i) + j))
+    done;
+    List.iter
+      (fun (x, far) ->
+        let q = asn (x + i) in
+        Graph.add_peering g (asn x) q;
+        List.iter (fun z -> Graph.add_peering g q (asn z)) far)
+      [ (300, [ 401; 402 ]); (500, [ 401; 402; 599 ]) ]
+  done;
+  let c = Compact.freeze g in
+  let top n x =
+    Path_enum_compact.top_partners c ~n (Compact.index_of_exn c (asn x))
+    |> List.map (fun y -> Asn.to_int (Compact.id c y))
+  in
+  let first n l = List.filteri (fun i _ -> i < n) l in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (x, ranked) ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "AS%d, n = %d" x n)
+            (first n ranked) (top n x))
+        [
+          (100, [ 106; 105; 104; 103; 102; 101 ]);
+          (300, [ 301; 302; 303; 304; 305; 306 ]);
+          (500, [ 501; 502; 503; 504; 505; 506 ]);
+        ])
+    top_partner_ns;
+  for x = 0 to Compact.num_ases c - 1 do
+    List.iter
+      (fun n ->
+        Alcotest.(check (list int))
+          (Printf.sprintf "index %d, n = %d = full sort" x n)
+          (Pan_oracle.Top_partners_reference.top_partners c ~n x)
+          (Path_enum_compact.top_partners c ~n x))
+      top_partner_ns
+  done
+
 (* The per-pair answer against both whole-source enumerations: the
    compact mids whose destination set holds dst, and the ASN-set
    oracle's.  Every (src, dst) pair, src = dst included, on default-shape
@@ -702,6 +796,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_primitive_equivalence;
     QCheck_alcotest.to_alcotest qcheck_concluded_equivalence;
     QCheck_alcotest.to_alcotest qcheck_top_partners_equivalence;
+    QCheck_alcotest.to_alcotest qcheck_top_partners_reference;
+    Alcotest.test_case "top_partners: worst scan order and gain ties" `Quick
+      test_top_partners_worst_order;
     QCheck_alcotest.to_alcotest qcheck_pair_paths_equivalence;
     QCheck_alcotest.to_alcotest qcheck_ma_gain_count;
     Alcotest.test_case "fig1 counts (hand-checked)" `Quick test_counts_on_fig1;

@@ -430,7 +430,16 @@ let test_parse_error_positions () =
   check_error "metric=latency; geo-fence=1,2" 1 27 "geo-fence";
   check_error "metric=latency; exclude-link=AS1-AS1" 1 30 "self-link";
   check_error "metric=latency;\nwat=1" 2 1 "unknown clause";
-  check_error "metric=latency;\n  k = x" 2 7 "k"
+  check_error "metric=latency;\n  k = x" 2 7 "k";
+  (* integer tokens are plain decimal digits, not OCaml literals *)
+  check_error "metric=latency; k=0x2" 1 19 "expected an integer k, got \"0x2\"";
+  check_error "metric=latency; k=+2" 1 19 "expected an integer k";
+  check_error "metric=latency; max-hops=1_0" 1 26
+    "expected an integer max-hops, got \"1_0\"";
+  check_error "metric=latency; exclude-as=AS0o10" 1 28
+    "expected an AS number like AS42, got \"AS0o10\"";
+  check_error "metric=latency; exclude-as=AS3, AS-0" 1 33 "\"AS-0\"";
+  check_error "metric=latency; exclude-link=AS1-AS0x2" 1 34 "\"AS0x2\""
 
 (* A bad spec inside a stream line reports the 1-based column within
    that line (the embedder re-anchors intent columns). *)

@@ -871,8 +871,34 @@ let test_stream_parse_errors () =
     "Stream.parse: line 2: intent spec (col 34): k must be <= 1024, got \
      5000"
     "query AS1 AS2 grc\nintent AS1 AS2 metric=latency; k=5000\n";
+  (* integer tokens are plain decimal digits, not OCaml literals *)
+  List.iter
+    (fun tok ->
+      expect tok
+        (Printf.sprintf
+           "Stream.parse: line 1: expected an AS number like AS42, got %S" tok)
+        ("query " ^ tok ^ " AS12 grc"))
+    [ "AS0x8"; "AS1_2"; "AS+8"; "AS-0"; "AS0b1" ];
+  List.iter
+    (fun p ->
+      expect p
+        (Printf.sprintf
+           "Stream.parse: line 1: unknown policy %S (expected grc, ma-all, \
+            ma-direct or ma-top:N)"
+           p)
+        ("query AS8 AS12 " ^ p))
+    [ "ma-top:0x3"; "ma-top:+3"; "ma-top:1_0"; "ma-top:4611686018427387904" ];
+  expect "intent source in octal"
+    "Stream.parse: line 1: expected an AS number like AS42, got \"AS0o10\""
+    "intent AS0o10 AS12 metric=latency; k=2";
+  expect "intent k in hex"
+    "Stream.parse: line 1: intent spec (col 35): expected an integer k, got \
+     \"0x2\""
+    "intent AS8 AS12 metric=latency; k=0x2";
   Alcotest.(check int) "a query to itself stays valid" 1
-    (List.length (Stream.parse "query AS8 AS8 ma-all"))
+    (List.length (Stream.parse "query AS8 AS8 ma-all"));
+  Alcotest.(check int) "leading zeros are decimal" 1
+    (List.length (Stream.parse "query AS008 AS12 grc"))
 
 let test_policy_labels () =
   List.iter
@@ -886,6 +912,9 @@ let test_policy_labels () =
     (Stream.policy_of_label "ma-top:5" = Some (Path_enum.Ma_top 5));
   Alcotest.(check bool) "ma-top:0" true
     (Stream.policy_of_label "ma-top:0" = Some (Path_enum.Ma_top 0));
+  Alcotest.(check bool) "ma-top:max_int" true
+    (Stream.policy_of_label "ma-top:4611686018427387903"
+    = Some (Path_enum.Ma_top max_int));
   Alcotest.(check bool) "negative ma-top rejected" true
     (Stream.policy_of_label "ma-top:-1" = None);
   Alcotest.(check bool) "ma-top junk rejected" true
