@@ -36,7 +36,8 @@ type t = {
   mode : mode;
   mutable topo : Compact.t;
   store : (store_key, int list) Hashtbl.t;
-  store_keys : (int, (int * Path_enum.scenario) list ref) Hashtbl.t;
+  store_keys : (int * Path_enum.scenario) list array;
+      (** per source index: the [(dst, policy)] keys it holds in [store] *)
   istore : (istore_key, ientry) Hashtbl.t;
   ilinks : (int * int, istore_key list ref) Hashtbl.t;
       (** normalized (lo, hi) dense link -> intent entries whose cached
@@ -96,7 +97,7 @@ let create ?(mode = Incremental) topo =
     mode;
     topo;
     store = Hashtbl.create 1024;
-    store_keys = Hashtbl.create 256;
+    store_keys = Array.make (Compact.num_ases topo) [];
     istore = Hashtbl.create 256;
     ilinks = Hashtbl.create 256;
     ictx = intent_ctx topo;
@@ -115,11 +116,6 @@ let check_index name t i =
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
-
-let push_key keys src k =
-  match Hashtbl.find_opt keys src with
-  | Some l -> l := k :: !l
-  | None -> Hashtbl.add keys src (ref [ k ])
 
 let query_uncached t ~src ~dst ~policy =
   check_index "query_uncached" t src;
@@ -142,7 +138,7 @@ let query t ~src ~dst ~policy =
           Obs.incr "serve.store_misses";
           let a = Path_enum_compact.pair_paths t.topo policy ~src ~dst in
           Hashtbl.replace t.store (src, dst, policy) a;
-          push_key t.store_keys src (dst, policy);
+          t.store_keys.(src) <- (dst, policy) :: t.store_keys.(src);
           a)
 
 (* The normalized (lo, hi) dense links an intent answer's candidate
@@ -209,16 +205,16 @@ let drop_memos t affected =
   let dropped = ref 0 in
   Bitset.iter
     (fun src ->
-      match Hashtbl.find_opt t.store_keys src with
-      | None -> ()
-      | Some keys ->
+      match t.store_keys.(src) with
+      | [] -> ()
+      | keys ->
           List.iter
             (fun (dst, p) ->
               if Hashtbl.mem t.store (src, dst, p) then (
                 Hashtbl.remove t.store (src, dst, p);
                 incr dropped))
-            !keys;
-          Hashtbl.remove t.store_keys src)
+            keys;
+          t.store_keys.(src) <- [])
     affected;
   !dropped
 

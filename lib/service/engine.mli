@@ -51,7 +51,7 @@ type link = Compact.Delta.link =
 type event = Compact.Delta.edit = Link_up of link | Link_down of link
 
 type mode =
-  | Incremental  (** CSR splice per batch ({!Compact.Delta}) *)
+  | Incremental  (** row splice per batch ({!Compact.Delta}) *)
   | Refreeze
       (** {!Compact.freeze} of the thawed, edited view per batch, after
           the same Delta validation — the oracle *)

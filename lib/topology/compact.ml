@@ -1,16 +1,32 @@
 module Obs = Pan_obs.Obs
 
+(* One relationship class as a two-level row table: row [i] is
+   [rows.(i / block).(i mod block)], its entries ascending.  Blocks and
+   rows are never written once built, so a splice shares every block and
+   row it does not change with the class it started from, and every
+   empty row is the one [[||]]. *)
+type rows = int array array array
+
 type t = {
   ids : Asn.t array;
-  prov_off : int array;
-  prov_adj : int array;
-  peer_off : int array;
-  peer_adj : int array;
-  cust_off : int array;
-  cust_adj : int array;
+  prov : rows;
+  peer : rows;
+  cust : rows;
   n_p2c : int;
   n_p2p : int;
 }
+
+let block_bits = 6
+let block = 1 lsl block_bits
+
+(* The one row accessor.  Both levels are bounds-checked, so an index
+   outside [0, n) raises like an array access. *)
+let row (rows : rows) i = rows.(i lsr block_bits).(i land (block - 1))
+
+let table n row_of : rows =
+  Array.init ((n + block - 1) / block) (fun b ->
+      let first = b * block in
+      Array.init (min block (n - first)) (fun k -> row_of (first + k)))
 
 let num_ases t = Array.length t.ids
 let num_provider_customer_links t = t.n_p2c
@@ -40,26 +56,19 @@ let index_of_exn t x =
       invalid_arg
         (Printf.sprintf "Compact.index_of_exn: unknown AS%d" (Asn.to_int x))
 
-(* One relationship class as CSR: [off] has n+1 entries; the neighbors of
-   [i] occupy [adj.(off.(i)) .. adj.(off.(i+1) - 1)], sorted ascending. *)
-let csr_of ids index rows =
-  let n = Array.length ids in
-  let off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i) + Asn.Set.cardinal (rows ids.(i))
-  done;
-  let adj = Array.make off.(n) 0 in
-  for i = 0 to n - 1 do
-    let k = ref off.(i) in
-    (* set elements come out ascending by ASN; interning is monotone, so
-       each row is ascending by index too *)
-    Asn.Set.iter
-      (fun y ->
-        adj.(!k) <- index y;
-        incr k)
-      (rows ids.(i))
-  done;
-  (off, adj)
+let rows_of ids index rel =
+  table (Array.length ids) (fun i ->
+      let set = rel ids.(i) in
+      let r = Array.make (Asn.Set.cardinal set) 0 in
+      let k = ref 0 in
+      (* set elements come out ascending by ASN; interning is monotone, so
+         each row is ascending by index too *)
+      Asn.Set.iter
+        (fun y ->
+          r.(!k) <- index y;
+          incr k)
+        set;
+      r)
 
 let freeze g =
   Obs.with_span "topology.freeze" @@ fun () ->
@@ -69,18 +78,12 @@ let freeze g =
   let tbl = Hashtbl.create (2 * Array.length ids) in
   Array.iteri (fun i x -> Hashtbl.replace tbl x i) ids;
   let index x = Hashtbl.find tbl x in
-  let prov_off, prov_adj = csr_of ids index (Graph.providers g) in
-  let peer_off, peer_adj = csr_of ids index (Graph.peers g) in
-  let cust_off, cust_adj = csr_of ids index (Graph.customers g) in
   let t =
     {
       ids;
-      prov_off;
-      prov_adj;
-      peer_off;
-      peer_adj;
-      cust_off;
-      cust_adj;
+      prov = rows_of ids index (Graph.providers g);
+      peer = rows_of ids index (Graph.peers g);
+      cust = rows_of ids index (Graph.customers g);
       n_p2c = Graph.num_provider_customer_links g;
       n_p2p = Graph.num_peering_links g;
     }
@@ -91,40 +94,42 @@ let freeze g =
   Obs.incr ~by:t.n_p2p "topology.compact.p2p_links";
   t
 
-let row_iter off adj i f =
-  for k = off.(i) to off.(i + 1) - 1 do
-    f (Array.unsafe_get adj k)
+let row_iter rows i f =
+  let r = row rows i in
+  for k = 0 to Array.length r - 1 do
+    f (Array.unsafe_get r k)
   done
 
-let iter_providers t i f = row_iter t.prov_off t.prov_adj i f
-let iter_peers t i f = row_iter t.peer_off t.peer_adj i f
-let iter_customers t i f = row_iter t.cust_off t.cust_adj i f
+let iter_providers t i f = row_iter t.prov i f
+let iter_peers t i f = row_iter t.peer i f
+let iter_customers t i f = row_iter t.cust i f
 
 let iter_neighbors t i f =
   iter_providers t i f;
   iter_peers t i f;
   iter_customers t i f
 
-let providers_count t i = t.prov_off.(i + 1) - t.prov_off.(i)
-let peers_count t i = t.peer_off.(i + 1) - t.peer_off.(i)
-let customers_count t i = t.cust_off.(i + 1) - t.cust_off.(i)
+let providers_count t i = Array.length (row t.prov i)
+let peers_count t i = Array.length (row t.peer i)
+let customers_count t i = Array.length (row t.cust i)
 
 let degree t i = providers_count t i + peers_count t i + customers_count t i
 
-let row_mem off adj i j =
-  let lo = ref off.(i) and hi = ref (off.(i + 1) - 1) in
+let row_mem rows i j =
+  let r = row rows i in
+  let lo = ref 0 and hi = ref (Array.length r - 1) in
   let found = ref false in
   while (not !found) && !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let v = adj.(mid) in
+    let v = r.(mid) in
     if v = j then found := true else if v < j then lo := mid + 1
     else hi := mid - 1
   done;
   !found
 
-let mem_provider t i j = row_mem t.prov_off t.prov_adj i j
-let mem_peer t i j = row_mem t.peer_off t.peer_adj i j
-let mem_customer t i j = row_mem t.cust_off t.cust_adj i j
+let mem_provider t i j = row_mem t.prov i j
+let mem_peer t i j = row_mem t.peer i j
+let mem_customer t i j = row_mem t.cust i j
 
 let connected t i j = mem_provider t i j || mem_peer t i j || mem_customer t i j
 
@@ -135,14 +140,13 @@ let add_customers t i bs = iter_customers t i (fun j -> Bitset.unsafe_add bs j)
 let iter_peering_links t f =
   let n = num_ases t in
   for i = 0 to n - 1 do
-    row_iter t.peer_off t.peer_adj i (fun j -> if i < j then f i j)
+    row_iter t.peer i (fun j -> if i < j then f i j)
   done
 
 let iter_provider_customer_links t f =
   let n = num_ases t in
   for provider = 0 to n - 1 do
-    row_iter t.cust_off t.cust_adj provider (fun customer ->
-        f ~provider ~customer)
+    row_iter t.cust provider (fun customer -> f ~provider ~customer)
   done
 
 let pp_stats fmt t =
@@ -151,18 +155,18 @@ let pp_stats fmt t =
     (num_ases t) t.n_p2c t.n_p2p
 
 let view t =
-  let row off adj x =
+  let set_of rows x =
     match index_of t x with
     | None -> Asn.Set.empty
     | Some i ->
         let l = ref [] in
-        row_iter off adj i (fun j -> l := t.ids.(j) :: !l);
+        row_iter rows i (fun j -> l := t.ids.(j) :: !l);
         Asn.Set.of_list !l
   in
   {
-    Graph.providers = row t.prov_off t.prov_adj;
-    peers = row t.peer_off t.peer_adj;
-    customers = row t.cust_off t.cust_adj;
+    Graph.providers = set_of t.prov;
+    peers = set_of t.peer;
+    customers = set_of t.cust;
     degree =
       (fun x -> match index_of t x with None -> 0 | Some i -> degree t i);
   }
@@ -177,7 +181,7 @@ let thaw t =
   g
 
 (* ------------------------------------------------------------------ *)
-(* Incremental freeze: batch CSR splices                               *)
+(* Incremental freeze: batch row splices                               *)
 
 module Delta = struct
   type link = Peer of int * int | Transit of { provider : int; customer : int }
@@ -243,57 +247,61 @@ module Delta = struct
       edits;
     overlay
 
+  (* Row [r] with its changes [(v, present)], ascending by [v], merged
+     in; validation guarantees that a removed [v] is in [r] and an added
+     one is not.  An emptied row is the shared [[||]]. *)
+  let merge_row r changes =
+    let len =
+      List.fold_left
+        (fun len (_, present) -> if present then len + 1 else len - 1)
+        (Array.length r) changes
+    in
+    let r' = Array.make len 0 in
+    let src = ref 0 and dst = ref 0 in
+    let copy_below v =
+      while !src < Array.length r && r.(!src) < v do
+        r'.(!dst) <- r.(!src);
+        incr src;
+        incr dst
+      done
+    in
+    List.iter
+      (fun (v, present) ->
+        copy_below v;
+        if present then begin
+          r'.(!dst) <- v;
+          incr dst
+        end
+        else incr src)
+      changes;
+    copy_below max_int;
+    r'
+
   (* One class with its directed changes [(row, v, present)] spliced in,
-     each (row, v) at most once.  The adjacency array is copied in spans
-     between the places the changes, in (row, v) order, insert or delete
-     an entry, so untouched rows are copied whole and only changed rows
-     are walked; a row's offset shifts by the net change of the rows
-     before it.  The spans are copied by a loop over [int array]s, not
-     [Array.blit]: a blit into a fresh major-heap array of values goes
-     through the write barrier once per word, a typed int store does not.
-     No change: the class is shared. *)
-  let splice_class (off : int array) (adj : int array) changes =
-    let changes = Array.of_list (List.sort compare changes) in
-    if Array.length changes = 0 then (off, adj)
+     each (row, v) at most once: the block table is copied once, each
+     block holding a changed row once, and each changed row is merged
+     once.  Every other block and row is shared with [rows], which is
+     never written.  No change: the class itself is shared. *)
+  let splice_class (rows : rows) changes =
+    if changes = [] then rows
     else begin
-      let n = Array.length off - 1 in
-      let grow len (_, _, present) = if present then len + 1 else len - 1 in
-      let len = Array.fold_left grow (Array.length adj) changes in
-      let off' = Array.make (n + 1) 0 and adj' = Array.make len 0 in
-      let src = ref 0 and dst = ref 0 and rows_done = ref 0 in
-      (* rows up to [r] hold no change still to come *)
-      let shift_rows r =
-        for i = !rows_done + 1 to r do
-          off'.(i) <- off.(i) + !dst - !src
-        done;
-        rows_done := r
+      let rows' = Array.copy rows in
+      let rec take_row i acc = function
+        | (i', v, present) :: rest when i' = i ->
+            take_row i ((v, present) :: acc) rest
+        | rest -> (List.rev acc, rest)
       in
-      let copy_to p =
-        let shift = !dst - !src in
-        for i = !src to p - 1 do
-          adj'.(i + shift) <- adj.(i)
-        done;
-        dst := !dst + p - !src;
-        src := p
+      let rec splice = function
+        | [] -> ()
+        | (i, _, _) :: _ as changes ->
+            let mine, rest = take_row i [] changes in
+            let b = i lsr block_bits in
+            if rows'.(b) == rows.(b) then rows'.(b) <- Array.copy rows.(b);
+            rows'.(b).(i land (block - 1)) <- merge_row (row rows i) mine;
+            splice rest
       in
-      Array.iter
-        (fun (row, v, present) ->
-          shift_rows row;
-          let p = ref (max !src off.(row)) in
-          while !p < off.(row + 1) && adj.(!p) < v do
-            incr p
-          done;
-          copy_to !p;
-          (* validation guarantees [adj.(!p) = v] for a removal *)
-          if present then begin
-            adj'.(!dst) <- v;
-            incr dst
-          end
-          else incr src)
-        changes;
-      shift_rows n;
-      copy_to (Array.length adj);
-      (off', adj')
+      splice (List.sort compare changes);
+      rows'
     end
 
   let apply_batch t edits =
@@ -318,9 +326,11 @@ module Delta = struct
               change true lo hi final
             end)
           overlay;
-        let peer_off, peer_adj = splice_class t.peer_off t.peer_adj !peer in
-        let cust_off, cust_adj = splice_class t.cust_off t.cust_adj !cust in
-        let prov_off, prov_adj = splice_class t.prov_off t.prov_adj !prov in
+        let net changes =
+          List.fold_left
+            (fun acc (_, _, present) -> if present then acc + 1 else acc - 1)
+            0 changes
+        in
         List.iter
           (function
             | Link_up _ -> Obs.incr "topology.delta.add"
@@ -330,14 +340,11 @@ module Delta = struct
         Ok
           {
             t with
-            peer_off;
-            peer_adj;
-            cust_off;
-            cust_adj;
-            prov_off;
-            prov_adj;
-            n_p2p = Array.length peer_adj / 2;
-            n_p2c = Array.length cust_adj;
+            peer = splice_class t.peer !peer;
+            cust = splice_class t.cust !cust;
+            prov = splice_class t.prov !prov;
+            n_p2p = t.n_p2p + (net !peer / 2);
+            n_p2c = t.n_p2c + net !cust;
           }
 end
 
@@ -438,15 +445,20 @@ module Snapshot = struct
 
   let add_u64 buf n = Buffer.add_int64_le buf (Int64.of_int n)
 
-  let add_int_array buf a =
-    add_u64 buf (Array.length a);
-    Array.iter (fun v -> add_u64 buf v) a
-
   (* Decoding reads straight off the full snapshot string through a
      bounded cursor — no payload/body substring copies, which matter at
      CAIDA scale (a copy per load would triple the allocation the GC has
      to chew through). *)
   type cursor = { s : string; mutable pos : int; limit : int }
+
+  (* The word at [pos]: a u64 field whose value does not fit in an OCaml
+     int is rejected here, since [Int64.to_int] would drop its bit 63 and
+     two images would decode alike. *)
+  let[@inline] word_at s pos =
+    let v = String.get_int64_le s pos in
+    if not (Int64.equal (Int64.of_int (Int64.to_int v)) v) then
+      err "word 0x%016Lx at byte offset %d does not fit in a 63-bit int" v pos;
+    Int64.to_int v
 
   (* A table or array entry: its range is checked by the caller, which
      knows what the word means. *)
@@ -454,7 +466,7 @@ module Snapshot = struct
     if cur.pos + 8 > cur.limit then
       err "truncated payload (need 8 bytes at byte offset %d, have %d)" cur.pos
         (cur.limit - cur.pos);
-    let v = Int64.to_int (String.get_int64_le cur.s cur.pos) in
+    let v = word_at cur.s cur.pos in
     cur.pos <- cur.pos + 8;
     v
 
@@ -463,29 +475,52 @@ module Snapshot = struct
     if v < 0 then err "negative length field at byte offset %d" (cur.pos - 8);
     v
 
-  let read_int_array cur =
+  (* An array's length word: returns the length and the byte offset of
+     its first word, and leaves the cursor past its last. *)
+  let skip_array cur =
     let n = read_u64 cur in
     (* [8 * n] could overflow; the division cannot *)
     if n > (cur.limit - cur.pos) / 8 then
       err "truncated payload (array of %d words at byte offset %d)" n cur.pos;
-    Array.init n (fun _ -> read_word cur)
+    let pos = cur.pos in
+    cur.pos <- pos + (8 * n);
+    (n, pos)
 
+  (* Each class is written as CSR, the layout of format version 1: the
+     n + 1 row offsets (prefix sums of the row lengths), then the rows'
+     entries back to back, each array behind its length word. *)
   let encode_core t =
-    let buf = Buffer.create (64 * Array.length t.ids) in
-    add_u64 buf (Array.length t.ids);
+    let n = num_ases t in
+    let buf = Buffer.create (64 * n) in
+    add_u64 buf n;
     Array.iter (fun x -> add_u64 buf (Asn.to_int x)) t.ids;
     List.iter
-      (fun (off, adj) ->
-        add_int_array buf off;
-        add_int_array buf adj)
-      [
-        (t.prov_off, t.prov_adj);
-        (t.peer_off, t.peer_adj);
-        (t.cust_off, t.cust_adj);
-      ];
+      (fun rows ->
+        add_u64 buf (n + 1);
+        add_u64 buf 0;
+        let len = ref 0 in
+        for i = 0 to n - 1 do
+          len := !len + Array.length (row rows i);
+          add_u64 buf !len
+        done;
+        add_u64 buf !len;
+        for i = 0 to n - 1 do
+          Array.iter (add_u64 buf) (row rows i)
+        done)
+      [ t.prov; t.peer; t.cust ];
     add_u64 buf t.n_p2c;
     add_u64 buf t.n_p2p;
     Buffer.contents buf
+
+  (* A decoded class, and where its words sit in the image: the mirror
+     check names byte offsets. *)
+  type decoded = {
+    name : string;
+    rows : rows;
+    off : int -> int;  (** offset [i], read from the image *)
+    adj_pos : int;  (** byte offset of the class's first entry *)
+    len : int;  (** entries in the class *)
+  }
 
   let decode_core s pos limit =
     let cur = { s; pos; limit } in
@@ -508,54 +543,66 @@ module Snapshot = struct
           prev := v;
           Asn.of_int v)
     in
-    (* Every row is checked once, in one linear pass: the rows are read
-       with unchecked indexing afterwards, so a resealed image with a
-       stray entry must fail here, at its byte offset. *)
-    let read_csr name =
-      let off_pos = cur.pos + 8 in
-      let off = read_int_array cur in
-      let adj_pos = cur.pos + 8 in
-      let adj = read_int_array cur in
-      if Array.length off <> n + 1 then
-        err "%s offsets: expected %d entries, found %d" name (n + 1)
-          (Array.length off);
-      if off.(0) <> 0 || off.(n) <> Array.length adj then
+    (* Every row is checked once, in one linear pass, as it is read out of
+       the image: the rows are read with unchecked indexing afterwards, so
+       a resealed image with a stray entry must fail here, at its byte
+       offset. *)
+    let read_rows name =
+      let off_n, off_pos = skip_array cur in
+      let len, adj_pos = skip_array cur in
+      if off_n <> n + 1 then
+        err "%s offsets: expected %d entries, found %d" name (n + 1) off_n;
+      let off i = word_at s (off_pos + (8 * i)) in
+      if off 0 <> 0 || off n <> len then
         err "%s offsets do not cover the adjacency array" name;
-      for i = 0 to n - 1 do
-        let lo = off.(i) and hi = off.(i + 1) in
-        (* [off.(n)] is the array length, so an offset past it implies a
-           later decrease *)
-        if hi < lo || hi > off.(n) then
-          err "%s offsets decrease after row %d at byte offset %d" name i
-            (off_pos + (8 * (i + 1)));
-        for k = lo to hi - 1 do
-          let v = adj.(k) in
-          if v < 0 || v >= n || v = i || (k > lo && v <= adj.(k - 1)) then
-            err "%s row %d: entry %d %s at byte offset %d" name i v
-              (if v < 0 || v >= n then Printf.sprintf "out of range [0, %d)" n
-               else if v = i then "is the row's own index"
-               else "breaks strictly ascending order")
-              (adj_pos + (8 * k))
-        done
-      done;
-      (name, off, adj, adj_pos)
+      (* [table] reads the rows in order: a row starts where the previous
+         one ended *)
+      let start = ref 0 in
+      let rows =
+        table n (fun i ->
+            let lo = !start and hi = off (i + 1) in
+            (* [off n] is the class's length, so an offset past it implies
+               a later decrease *)
+            if hi < lo || hi > len then
+              err "%s offsets decrease after row %d at byte offset %d" name i
+                (off_pos + (8 * (i + 1)));
+            let r = if hi = lo then [||] else Array.make (hi - lo) 0 in
+            let prev = ref (-1) in
+            for k = 0 to hi - lo - 1 do
+              let pos = adj_pos + (8 * (lo + k)) in
+              let v = word_at s pos in
+              (* [prev] starts below 0: a negative first entry fails here *)
+              if v <= !prev || v >= n || v = i then
+                err "%s row %d: entry %d %s at byte offset %d" name i v
+                  (if v < 0 || v >= n then
+                     Printf.sprintf "out of range [0, %d)" n
+                   else if v = i then "is the row's own index"
+                   else "breaks strictly ascending order")
+                  pos;
+              r.(k) <- v;
+              prev := v
+            done;
+            start := hi;
+            r)
+      in
+      { name; rows; off; adj_pos; len }
     in
-    let ((_, prov_off, prov_adj, _) as prov) = read_csr "provider" in
-    let ((_, peer_off, peer_adj, _) as peer) = read_csr "peer" in
-    let ((_, cust_off, cust_adj, _) as cust) = read_csr "customer" in
+    let prov = read_rows "provider" in
+    let peer = read_rows "peer" in
+    let cust = read_rows "customer" in
     let counts_pos = cur.pos in
     let n_p2c = read_u64 cur in
     let n_p2p = read_u64 cur in
-    if n_p2c <> Array.length prov_adj || n_p2c <> Array.length cust_adj then
+    if n_p2c <> prov.len || n_p2c <> cust.len then
       err
         "provider-customer link count %d does not match the provider (%d) \
          and customer (%d) adjacency lengths at byte offset %d"
-        n_p2c (Array.length prov_adj) (Array.length cust_adj) counts_pos;
-    if 2 * n_p2p <> Array.length peer_adj then
+        n_p2c prov.len cust.len counts_pos;
+    if 2 * n_p2p <> peer.len then
       err
         "peering link count %d does not match the peer adjacency length %d \
          at byte offset %d"
-        n_p2p (Array.length peer_adj) (counts_pos + 8);
+        n_p2p peer.len (counts_pos + 8);
     if cur.pos <> cur.limit then
       err "core section has %d trailing bytes at byte offset %d"
         (cur.limit - cur.pos) cur.pos;
@@ -566,39 +613,31 @@ module Snapshot = struct
        and each entry j of row i must meet i there.  The link counts
        above make both classes equally long, so once every entry of [a]
        has met one, every entry of [b] has been met. *)
-    let check_mirror (a_name, a_off, a_adj, a_pos) (b_name, b_off, b_adj, b_pos)
-        =
-      let unmirrored name adj pos row k other =
+    let check_mirror a b =
+      (* entry [k] of row [i] of [cls] names row [j] of [other] *)
+      let unmirrored cls i k other j =
         err "%s row %d: entry %d has no mirror in %s row %d at byte offset %d"
-          name row adj.(k) other adj.(k) (pos + (8 * k))
+          cls.name i j other.name j
+          (cls.adj_pos + (8 * (cls.off i + k)))
       in
-      let next = Array.copy b_off in
+      let next = Array.make n 0 in
       for i = 0 to n - 1 do
-        for k = a_off.(i) to a_off.(i + 1) - 1 do
-          let j = a_adj.(k) in
-          let c = next.(j) in
-          if c = b_off.(j + 1) || b_adj.(c) <> i then
+        let r = row a.rows i in
+        for k = 0 to Array.length r - 1 do
+          let j = r.(k) in
+          let c = next.(j) and rj = row b.rows j in
+          if c = Array.length rj || rj.(c) <> i then
             (* an entry below i was met by no row of [a] before i *)
-            if c < b_off.(j + 1) && b_adj.(c) < i then
-              unmirrored b_name b_adj b_pos j c a_name
-            else unmirrored a_name a_adj a_pos i k b_name;
+            if c < Array.length rj && rj.(c) < i then
+              unmirrored b j c a rj.(c)
+            else unmirrored a i k b j;
           next.(j) <- c + 1
         done
       done
     in
     check_mirror peer peer;
     check_mirror prov cust;
-    {
-      ids;
-      prov_off;
-      prov_adj;
-      peer_off;
-      peer_adj;
-      cust_off;
-      cust_adj;
-      n_p2c;
-      n_p2p;
-    }
+    { ids; prov = prov.rows; peer = peer.rows; cust = cust.rows; n_p2c; n_p2p }
 
   let to_string ?(sections = []) t =
     let payload = Buffer.create 4096 in
@@ -620,7 +659,8 @@ module Snapshot = struct
     Buffer.add_string out payload;
     Buffer.contents out
 
-  let of_string s =
+  (* [of_string], copying the extra sections out only if [extras]. *)
+  let parse ~extras s =
     if String.length s < header_len then
       err "truncated header (file ends at byte offset %d, need at least %d)"
         (String.length s) header_len;
@@ -633,7 +673,7 @@ module Snapshot = struct
     let n_sections = Int32.to_int (String.get_int32_le s 12) in
     if n_sections < 0 then
       err "negative section count %d at byte offset 12" n_sections;
-    let payload_len = Int64.to_int (String.get_int64_le s 16) in
+    let payload_len = word_at s 16 in
     let digest = String.sub s 24 16 in
     if String.length s - header_len < payload_len then
       err
@@ -687,22 +727,28 @@ module Snapshot = struct
         let extras =
           List.filter_map
             (fun (tag, pos, len) ->
-              if String.equal tag core_tag then None
+              if (not extras) || String.equal tag core_tag then None
               else Some (tag, String.sub s pos len))
             sections
         in
         (t, extras)
 
+  let of_string s = parse ~extras:true s
+
   let save path ?sections t =
     let data = to_string ?sections t in
     Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
 
-  let load_with_sections path =
+  let read_file ~extras path =
     let data = In_channel.with_open_bin path In_channel.input_all in
-    let result = of_string data in
+    let result = parse ~extras data in
     Obs.incr "topology.snapshot.load";
     Obs.incr ~by:(num_ases (fst result)) "topology.snapshot.ases";
     result
 
-  let load path = fst (load_with_sections path)
+  let load_with_sections path = read_file ~extras:true path
+
+  (* The extra sections are dropped, so they are not copied out: a geo
+     section is several times the size of the core. *)
+  let load path = fst (read_file ~extras:false path)
 end

@@ -1,5 +1,5 @@
 (** Frozen, immutable view of a {!Graph}: dense [Asn.t ↔ int] interning
-    plus sorted int-array CSR adjacency, segmented by relationship class.
+    plus sorted int-array adjacency rows, segmented by relationship class.
 
     {!Graph.t} stays the {e builder} — hash tables of functional sets,
     convenient while a topology is read from a file or generated.  Once
@@ -7,13 +7,16 @@
 
     - every AS gets a dense index in [0 .. num_ases - 1], assigned in
       ascending ASN order (so index order = ASN order everywhere);
-    - each relationship class (providers / peers / customers) is one CSR
-      pair [(off, adj)] of int arrays, rows sorted ascending.
+    - each relationship class (providers / peers / customers) is a
+      two-level row table: a block table of [⌈num_ases / 64⌉] blocks,
+      each holding up to 64 rows, every row an [int array] sorted
+      ascending (all empty rows are one shared [[||]]).
 
-    The result is immutable and contains only flat arrays, so a single
-    frozen topology is shared read-only across [pan_runner] worker
-    domains — no per-worker copy, no locks.  {!degree} is O(1) (three
-    offset subtractions) and {!iter_neighbors} allocates nothing, unlike
+    The result is immutable — no block or row is written once built —
+    so a single frozen topology is shared read-only across [pan_runner]
+    worker domains (no per-worker copy, no locks), and a {!Delta} splice
+    shares every block and row it does not change.  {!degree} is O(1)
+    (three row lengths) and {!iter_neighbors} allocates nothing, unlike
     the set-union-based {!Graph.neighbors}.
 
     When {!Pan_obs.Obs} is configured, {!freeze} records a
@@ -104,14 +107,15 @@ val thaw : t -> Graph.t
     as its [link] and [event] and validates nothing itself.
 
     One batch of edits is validated once and spliced once, returning a
-    {e new} [t]; a class no edit changes is shared with the input, and
-    the input itself is never mutated.  In a changed class, only the
-    changed rows are merged; the rows between them are copied in spans
-    with [Array.blit] and their offsets shifted.  Cost per batch:
-    O(edits · log) to validate and sort, plus, per changed class, one
-    copy of its adjacency array and offsets (O(links in the class +
-    num_ases)) and a merge of each changed row — far below a full
-    {!freeze}, which re-sorts every row from the hash-table builder.
+    {e new} [t] by path copying; the input itself is never mutated.  A
+    class no edit changes is shared with the input.  In a changed class,
+    the block table is copied once, each block holding a changed row
+    once, and each changed row is rebuilt once by merging its sorted
+    changes in; every other block and row is shared.  Cost per batch:
+    O(edits · log) to validate and sort, plus, per changed class,
+    O(num_ases / 64) for the block table, 64 words per touched block and
+    the length of each changed row — far below a full {!freeze}, which
+    re-sorts every row from the hash-table builder.
 
     Invariant: the result is byte-identical (via {!Snapshot.to_string})
     to [freeze] of the {!thaw}ed graph with the same edits applied in
@@ -209,16 +213,19 @@ end
     A snapshot file is a small container: an 8-byte magic, a format
     version, a section count, the payload length, and an MD5 checksum of
     the payload, followed by tagged sections.  The mandatory ["core"]
-    section stores the interned-ASN table and the three per-relationship
-    CSR adjacency classes verbatim, so [load] rebuilds the exact frozen
-    view without re-parsing or re-freezing — a full-CAIDA service starts
-    in milliseconds.  Extra sections (geo and bandwidth tables, see
+    section stores the interned-ASN table and the three relationship
+    classes in CSR form (row offsets as prefix sums, then the entries),
+    so [load] reads each row straight out of the image into the exact
+    frozen view, without re-parsing or re-freezing — a full-CAIDA
+    service starts in milliseconds.  Extra sections (geo and bandwidth tables, see
     {!Snapshot}) ride in the same container under the same checksum.
 
     Stale or damaged files are rejected loudly: bad magic, an unknown
     format version, a truncated payload, and a checksum mismatch each
     raise [Invalid_argument] with a distinct message — never a decode
-    crash on corrupt bytes. *)
+    crash on corrupt bytes.  So is a u64 field whose value does not fit
+    in an OCaml int, at its byte offset, so two images never decode to
+    the same view. *)
 module Snapshot : sig
   val format_version : int
   (** Bumped whenever the binary layout changes; [load] refuses other

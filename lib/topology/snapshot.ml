@@ -24,8 +24,14 @@ let read_raw cur what =
   cur.pos <- cur.pos + 8;
   v
 
+(* [Int64.to_int] would drop bit 63 of a word that does not fit. *)
 let read_u64 cur what =
-  let v = Int64.to_int (read_raw cur what) in
+  let pos = cur.pos in
+  let w = read_raw cur what in
+  let v = Int64.to_int w in
+  if not (Int64.equal (Int64.of_int v) w) then
+    err "%s section: word 0x%016Lx at offset %d does not fit in a 63-bit int"
+      what w pos;
   if v < 0 then err "negative field in %s section" what;
   v
 

@@ -778,6 +778,105 @@ let test_snapshot_row_checks () =
     (frozen_equal c
        (fst (Compact.Snapshot.of_string (make_image ~n_sections:1 payload))))
 
+(* A u64 field whose value does not fit in an OCaml int is rejected
+   where it is read: [Int64.to_int] drops bit 63, so an image with the
+   bit set used to load as the image without it.  The CAIDA sample's p2p
+   count (1) sits at byte 318, its top byte at 325; the header's payload
+   length at byte 16, outside the digest.  A geo section reads its words
+   through the bundle's own reader. *)
+let test_snapshot_wide_words () =
+  let c = Compact.freeze (Caida.of_string caida_sample) in
+  let image = Compact.Snapshot.to_string c in
+  let payload = String.sub image 40 (String.length image - 40) in
+  let expect name bytes msg =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (Snapshot.of_string bytes))
+  in
+  let with_byte s pos byte =
+    let b = Bytes.of_string s in
+    Bytes.set b pos byte;
+    Bytes.to_string b
+  in
+  expect "p2p count with bit 63 set"
+    (make_image ~n_sections:1 (with_byte payload (325 - 40) '\x80'))
+    "Compact.Snapshot.load: word 0x8000000000000001 at byte offset 318 does \
+     not fit in a 63-bit int";
+  expect "payload length with bit 63 set"
+    (with_byte image 23 '\x80')
+    "Compact.Snapshot.load: word 0x800000000000011e at byte offset 16 does \
+     not fit in a 63-bit int";
+  let geo_section =
+    let b = Buffer.create 24 in
+    Buffer.add_int16_le b 3;
+    Buffer.add_string b "geo";
+    Buffer.add_int64_le b 8L;
+    Buffer.add_int64_le b Int64.min_int;
+    Buffer.contents b
+  in
+  expect "geo word with bit 63 set"
+    (make_image ~n_sections:2 (payload ^ geo_section))
+    "Snapshot.load: geo section: word 0x8000000000000000 at offset 0 does \
+     not fit in a 63-bit int"
+
+(* Decoder fuzz: one byte, or one 8-byte word, of a core image's payload
+   is overwritten and the digest resealed, so every mutation reaches the
+   decoder.  The cores hold 80 ASes, two 64-row blocks.  Words land on
+   the body's word grid (the body length word at 46, then the body from
+   54) and take values at the edges of its checks.
+   Decoding either fails with a located error or returns a core that
+   re-encodes to the mutated image: no other exception, and no two images
+   decode alike. *)
+let qcheck_snapshot_fuzz =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 10_000 >>= fun seed ->
+      let c = Compact.freeze (gen_graph ~n_transit:8 ~n_stub:60 seed) in
+      let image = Compact.Snapshot.to_string c in
+      let len = String.length image and n = Compact.num_ases c in
+      let word v =
+        let b = Bytes.create 8 in
+        Bytes.set_int64_le b 0 v;
+        Bytes.to_string b
+      in
+      let byte_patch =
+        pair (int_range 40 (len - 1))
+          (map (fun v -> String.make 1 (Char.chr v)) (int_range 0 255))
+      in
+      let word_patch =
+        pair
+          (map (fun k -> 46 + (8 * k)) (int_range 0 (((len - 46) / 8) - 1)))
+          (map word
+             (oneof
+                [
+                  map Int64.of_int
+                    (oneofl
+                       [
+                         -1; 0; 1; n - 1; n; n + 1; max_int; min_int; 1 lsl 59;
+                       ]);
+                  int64;
+                ]))
+      in
+      map
+        (fun (pos, patch) ->
+          let b = Bytes.of_string image in
+          Bytes.blit_string patch 0 b pos (String.length patch);
+          let payload = Bytes.sub_string b 40 (len - 40) in
+          (seed, pos, patch, make_image ~n_sections:1 payload))
+        (oneof [ byte_patch; word_patch ]))
+  in
+  let print (seed, pos, patch, _) =
+    Printf.sprintf "seed %d: bytes %S at byte offset %d" seed patch pos
+  in
+  QCheck.Test.make ~count:1000
+    ~name:"snapshot: resealed mutations fail located or round-trip"
+    (QCheck.make gen ~print)
+    (fun (_, _, _, image) ->
+      match Compact.Snapshot.of_string image with
+      | c, [] -> String.equal image (Compact.Snapshot.to_string c)
+      | _, _ :: _ -> false
+      | exception Invalid_argument msg ->
+          String.starts_with ~prefix:"Compact.Snapshot.load: " msg)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_bitset_roundtrip;
@@ -813,4 +912,7 @@ let suite =
       test_snapshot_corruption_offsets;
     Alcotest.test_case "snapshot: rows checked at load" `Quick
       test_snapshot_row_checks;
+    Alcotest.test_case "snapshot: words past 63 bits rejected" `Quick
+      test_snapshot_wide_words;
+    QCheck_alcotest.to_alcotest qcheck_snapshot_fuzz;
   ]
