@@ -659,8 +659,7 @@ module Snapshot = struct
     Buffer.add_string out payload;
     Buffer.contents out
 
-  (* [of_string], copying the extra sections out only if [extras]. *)
-  let parse ~extras s =
+  let of_string s =
     if String.length s < header_len then
       err "truncated header (file ends at byte offset %d, need at least %d)"
         (String.length s) header_len;
@@ -706,7 +705,8 @@ module Snapshot = struct
       let tag = String.sub s cur.pos tag_len in
       cur.pos <- cur.pos + tag_len;
       let body_len = read_u64 cur in
-      if cur.pos + body_len > limit then
+      (* [cur.pos + body_len] could overflow; the difference cannot *)
+      if body_len > limit - cur.pos then
         err "truncated section %S at byte offset %d (declares %d bytes, %d \
              available)"
           tag cur.pos body_len (limit - cur.pos);
@@ -727,28 +727,22 @@ module Snapshot = struct
         let extras =
           List.filter_map
             (fun (tag, pos, len) ->
-              if (not extras) || String.equal tag core_tag then None
+              if String.equal tag core_tag then None
               else Some (tag, String.sub s pos len))
             sections
         in
         (t, extras)
 
-  let of_string s = parse ~extras:true s
-
   let save path ?sections t =
     let data = to_string ?sections t in
     Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
 
-  let read_file ~extras path =
+  let load_with_sections path =
     let data = In_channel.with_open_bin path In_channel.input_all in
-    let result = parse ~extras data in
+    let result = of_string data in
     Obs.incr "topology.snapshot.load";
     Obs.incr ~by:(num_ases (fst result)) "topology.snapshot.ases";
     result
 
-  let load_with_sections path = read_file ~extras:true path
-
-  (* The extra sections are dropped, so they are not copied out: a geo
-     section is several times the size of the core. *)
-  let load path = fst (read_file ~extras:false path)
+  let load path = fst (load_with_sections path)
 end

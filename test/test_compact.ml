@@ -667,6 +667,13 @@ let test_snapshot_corruption_offsets () =
     (make_image ~n_sections:1 (section "core" 100 ""))
     "Compact.Snapshot.load: truncated section \"core\" at byte offset 54 \
      (declares 100 bytes, 0 available)";
+  (* a body length whose end, [54 + max_int], overflows to a negative int *)
+  expect_invalid "section body length max_int"
+    (make_image ~n_sections:1 (section "core" max_int ""))
+    (Printf.sprintf
+       "Compact.Snapshot.load: truncated section \"core\" at byte offset 54 \
+        (declares %d bytes, 0 available)"
+       max_int);
   (* a "core" body whose ASN-table count points past the body's end *)
   let huge_table =
     let b = Buffer.create 8 in
@@ -818,14 +825,33 @@ let test_snapshot_wide_words () =
     "Snapshot.load: geo section: word 0x8000000000000000 at offset 0 does \
      not fit in a 63-bit int"
 
+(* Every "byte offset N" that [msg] names. *)
+let byte_offsets msg =
+  let key = "byte offset " in
+  let n = String.length msg and k = String.length key in
+  let rec go i acc =
+    if i + k > n then List.rev acc
+    else if String.sub msg i k <> key then go (i + 1) acc
+    else begin
+      let j = ref (i + k) in
+      if !j < n && msg.[!j] = '-' then incr j;
+      while !j < n && msg.[!j] >= '0' && msg.[!j] <= '9' do
+        incr j
+      done;
+      go !j (int_of_string (String.sub msg (i + k) (!j - i - k)) :: acc)
+    end
+  in
+  go 0 []
+
 (* Decoder fuzz: one byte, or one 8-byte word, of a core image's payload
    is overwritten and the digest resealed, so every mutation reaches the
    decoder.  The cores hold 80 ASes, two 64-row blocks.  Words land on
    the body's word grid (the body length word at 46, then the body from
-   54) and take values at the edges of its checks.
-   Decoding either fails with a located error or returns a core that
-   re-encodes to the mutated image: no other exception, and no two images
-   decode alike. *)
+   54), one in five on the body length or the ASN count at 54, and take
+   values at the edges of its checks.
+   Decoding either fails with the decoder's own error, every byte offset
+   it names inside the image, or returns a core that re-encodes to the
+   mutated image: no other exception, and no two images decode alike. *)
 let qcheck_snapshot_fuzz =
   let gen =
     QCheck.Gen.(
@@ -844,7 +870,11 @@ let qcheck_snapshot_fuzz =
       in
       let word_patch =
         pair
-          (map (fun k -> 46 + (8 * k)) (int_range 0 (((len - 46) / 8) - 1)))
+          (frequency
+             [
+               (4, map (fun k -> 46 + (8 * k)) (int_range 0 (((len - 46) / 8) - 1)));
+               (1, oneofl [ 46; 54 ]);
+             ])
           (map word
              (oneof
                 [
@@ -875,7 +905,10 @@ let qcheck_snapshot_fuzz =
       | c, [] -> String.equal image (Compact.Snapshot.to_string c)
       | _, _ :: _ -> false
       | exception Invalid_argument msg ->
-          String.starts_with ~prefix:"Compact.Snapshot.load: " msg)
+          String.starts_with ~prefix:"Compact.Snapshot.load: " msg
+          && List.for_all
+               (fun o -> 0 <= o && o <= String.length image)
+               (byte_offsets msg))
 
 let suite =
   [
