@@ -46,9 +46,9 @@
    method-comparison sweep's -j1 = -j4 fingerprints.
 
    Part 10 measures versioned topology snapshots (lib/topology
-   Snapshot): Snapshot.load of a frozen graph vs re-parsing and
-   re-freezing its CAIDA serialization, verifying byte-identical frozen
-   cores.
+   Compact.Snapshot, the frozen core and nothing else): loading a core
+   vs re-parsing and re-freezing its CAIDA serialization, verifying
+   byte-identical frozen cores.
 
    Part 11 measures the resident path-query service (lib/service):
    sustained queries/sec and per-query latency percentiles under link
@@ -832,7 +832,7 @@ let run_econ ~scenarios () =
   evaluators_equal && jobs_equal
 
 (* ------------------------------------------------------------------ *)
-(* Part 10: versioned topology snapshots (lib/topology Snapshot)       *)
+(* Part 10: versioned topology snapshots (Compact.Snapshot)            *)
 
 let snapshot_sizes = function
   | `Smoke -> [ ("1k", 60, 928) ]

@@ -221,21 +221,21 @@ let topology ~caida ~transit ~stubs ~seed =
 
 let snapshot_arg =
   let doc =
-    "Load the frozen topology (and any geo/bandwidth sections) from a \
-     versioned binary snapshot written by $(b,topology snapshot), \
-     instead of generating or parsing one.  Stale or corrupt snapshots \
-     are rejected with a diagnostic."
+    "Load the frozen topology from a versioned binary snapshot written by \
+     $(b,topology snapshot), instead of generating or parsing one.  Stale \
+     or corrupt snapshots are rejected with a diagnostic."
   in
   Arg.(value & opt (some file) None & info [ "snapshot" ] ~doc ~docv:"FILE")
+
+let load_snapshot path =
+  let topo = Compact.Snapshot.load path in
+  Format.fprintf fmt "# loaded snapshot %s: %a@." path Compact.pp_stats topo;
+  topo
 
 (* The frozen core of --snapshot when given, else of {!topology}. *)
 let frozen_topology ~snapshot ~caida ~transit ~stubs ~seed =
   match snapshot with
-  | Some path ->
-      let b = Snapshot.load path in
-      Format.fprintf fmt "# loaded snapshot %s: %a@." path Compact.pp_stats
-        b.Snapshot.topo;
-      b.Snapshot.topo
+  | Some path -> load_snapshot path
   | None -> Compact.freeze (topology ~caida ~transit ~stubs ~seed)
 
 (* ------------------------------------------------------------------ *)
@@ -424,26 +424,11 @@ let fragility_cmd =
 let intent_conv =
   Arg.conv ~docv:"SPEC" (Pan_intent.Intent.parse, Pan_intent.Intent.pp)
 
-let pp_bundle path (b : Snapshot.bundle) =
-  Format.fprintf fmt "# loaded snapshot %s: %a@." path Compact.pp_stats
-    b.Snapshot.topo;
-  (match b.Snapshot.geo with
-  | Some geo ->
-      let as_rows, link_rows = Geo.bindings geo in
-      Format.fprintf fmt "geo section: %d AS locations, %d link locations@."
-        (List.length as_rows) (List.length link_rows)
-  | None -> Format.fprintf fmt "geo section: absent@.");
-  match b.Snapshot.bandwidth with
-  | Some bw ->
-      Format.fprintf fmt "bandwidth section: coefficient %g@."
-        (Bandwidth.coefficient bw)
-  | None -> Format.fprintf fmt "bandwidth section: absent@."
-
 let topology_cmd =
   let show_run caida transit stubs seed metrics trace snapshot =
     with_obs ~metrics ~trace @@ fun () ->
     match snapshot with
-    | Some path -> pp_bundle path (or_exit (fun () -> Snapshot.load path))
+    | Some path -> ignore (or_exit (fun () -> load_snapshot path))
     | None ->
         let g = topology ~caida ~transit ~stubs ~seed in
         Format.fprintf fmt "%a@." Metrics.pp_summary (Metrics.summary g);
@@ -467,27 +452,21 @@ let topology_cmd =
     in
     let run caida transit stubs seed metrics trace out =
       with_obs ~metrics ~trace @@ fun () ->
-      let g = topology ~caida ~transit ~stubs ~seed in
-      let frozen = Compact.freeze g in
-      (* The geo embedding consumes the RNG in frozen iteration order, so
-         the snapshot is deterministic given the topology and seed. *)
-      let geo = Geo.of_compact ~seed:(seed + 1) frozen in
-      let bandwidth = Bandwidth.of_compact frozen in
-      Snapshot.save out ~geo ~bandwidth frozen;
+      let frozen = Compact.freeze (topology ~caida ~transit ~stubs ~seed) in
+      Compact.Snapshot.save out frozen;
       let bytes =
         In_channel.with_open_bin out (fun ic ->
             Int64.to_int (In_channel.length ic))
       in
-      Format.fprintf fmt
-        "wrote %s (%d bytes): %a; geo + bandwidth sections included@." out
-        bytes Compact.pp_stats frozen
+      Format.fprintf fmt "wrote %s (%d bytes): %a@." out bytes
+        Compact.pp_stats frozen
     in
     Cmd.v
       (Cmd.info "snapshot"
          ~doc:
-           "Freeze the topology and save it (with geo and bandwidth \
-            tables) as a versioned, checksummed binary snapshot for \
-            instant reload via $(b,--snapshot).")
+           "Freeze the topology and save its frozen core as a versioned, \
+            checksummed binary snapshot for instant reload via \
+            $(b,--snapshot).")
       Term.(
         const run $ caida_arg $ transit_arg $ stub_arg $ seed_arg
         $ metrics_arg $ trace_arg $ out)

@@ -73,10 +73,13 @@ let equal a b = compare a b = 0
 (* Canonical printing                                                  *)
 
 (* Shortest decimal form that parses back to the same double — keeps
-   specs readable while guaranteeing print/parse round-trip. *)
+   specs readable while guaranteeing print/parse round-trip.  The
+   exponent prints without its '+' ("1e12", not "1e+12"): the parser
+   splits a metric at '+' before it reads a weight. *)
 let float_str f =
   let s = Printf.sprintf "%.12g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+  let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+  String.concat "" (String.split_on_char '+' s)
 
 let term_str { weight; component } =
   if weight = 1.0 then component_label component

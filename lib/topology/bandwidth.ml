@@ -7,8 +7,6 @@ let of_compact ?(coefficient = 1.0) c =
 let degree_gravity ?coefficient graph =
   of_compact ?coefficient (Compact.freeze graph)
 
-let coefficient t = t.coefficient
-
 let link_capacity t x y =
   match (Compact.index_of t.c x, Compact.index_of t.c y) with
   | Some i, Some j when Compact.connected t.c i j ->

@@ -18,10 +18,6 @@ val of_compact : ?coefficient:float -> Compact.t -> t
 (** Same model over an already-frozen topology (shares the view instead
     of re-freezing). *)
 
-val coefficient : t -> float
-(** The capacity coefficient, for the {!Snapshot} bandwidth section (the
-    rest of the model is derived from the frozen topology). *)
-
 val link_capacity : t -> Asn.t -> Asn.t -> float
 (** @raise Not_found if the ASes are not adjacent in the underlying graph. *)
 

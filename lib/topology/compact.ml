@@ -423,32 +423,27 @@ end
 (* Versioned binary snapshots                                          *)
 
 module Snapshot = struct
-  let format_version = 1
+  let format_version = 2
   let magic = "PANSNAPS"
 
   (* Layout (all integers little-endian):
        0   8  magic "PANSNAPS"
        8   4  format version (u32)
-      12   4  section count (u32)
-      16   8  payload length in bytes (u64)
-      24  16  MD5 digest of the payload region
-      40  ..  payload: per section u16 tag length, tag bytes,
-              u64 body length, body bytes
-     The "core" section holds the interned-ASN table and the three CSR
-     relationship classes; extra sections (geo, bandwidth, ...) ride in
-     the same container and are covered by the same checksum. *)
+      12   8  payload length in bytes (u64)
+      20  16  MD5 digest of the payload
+      36  ..  payload: the core, that is the interned-ASN table and the
+              three CSR relationship classes *)
 
-  let header_len = 40
-  let core_tag = "core"
+  let header_len = 36
 
   let err fmt = Printf.ksprintf invalid_arg ("Compact.Snapshot.load: " ^^ fmt)
 
   let add_u64 buf n = Buffer.add_int64_le buf (Int64.of_int n)
 
   (* Decoding reads straight off the full snapshot string through a
-     bounded cursor — no payload/body substring copies, which matter at
-     CAIDA scale (a copy per load would triple the allocation the GC has
-     to chew through). *)
+     bounded cursor — no payload substring copy, which matters at CAIDA
+     scale (a copy per load would triple the allocation the GC has to
+     chew through). *)
   type cursor = { s : string; mutable pos : int; limit : int }
 
   (* The word at [pos]: a u64 field whose value does not fit in an OCaml
@@ -486,7 +481,7 @@ module Snapshot = struct
     cur.pos <- pos + (8 * n);
     (n, pos)
 
-  (* Each class is written as CSR, the layout of format version 1: the
+  (* Each class is written as CSR, the layout since format version 1: the
      n + 1 row offsets (prefix sums of the row lengths), then the rows'
      entries back to back, each array behind its length word. *)
   let encode_core t =
@@ -551,10 +546,18 @@ module Snapshot = struct
       let off_n, off_pos = skip_array cur in
       let len, adj_pos = skip_array cur in
       if off_n <> n + 1 then
-        err "%s offsets: expected %d entries, found %d" name (n + 1) off_n;
+        err "%s offsets: expected %d entries, found %d at byte offset %d" name
+          (n + 1) off_n (off_pos - 8);
       let off i = word_at s (off_pos + (8 * i)) in
-      if off 0 <> 0 || off n <> len then
-        err "%s offsets do not cover the adjacency array" name;
+      let uncovered i want =
+        err
+          "%s offsets do not cover the adjacency array: offset %d is %d, not \
+           %d, at byte offset %d"
+          name i (off i) want
+          (off_pos + (8 * i))
+      in
+      if off 0 <> 0 then uncovered 0 0;
+      if off n <> len then uncovered n len;
       (* [table] reads the rows in order: a row starts where the previous
          one ended *)
       let start = ref 0 in
@@ -639,21 +642,11 @@ module Snapshot = struct
     check_mirror prov cust;
     { ids; prov = prov.rows; peer = peer.rows; cust = cust.rows; n_p2c; n_p2p }
 
-  let to_string ?(sections = []) t =
-    let payload = Buffer.create 4096 in
-    let add_section (tag, body) =
-      Buffer.add_int16_le payload (String.length tag);
-      Buffer.add_string payload tag;
-      add_u64 payload (String.length body);
-      Buffer.add_string payload body
-    in
-    let sections = (core_tag, encode_core t) :: sections in
-    List.iter add_section sections;
-    let payload = Buffer.contents payload in
+  let to_string t =
+    let payload = encode_core t in
     let out = Buffer.create (header_len + String.length payload) in
     Buffer.add_string out magic;
     Buffer.add_int32_le out (Int32.of_int format_version);
-    Buffer.add_int32_le out (Int32.of_int (List.length sections));
     add_u64 out (String.length payload);
     Buffer.add_string out (Digest.string payload);
     Buffer.add_string out payload;
@@ -669,11 +662,9 @@ module Snapshot = struct
     if version <> format_version then
       err "unsupported format version %d (this build reads version %d)"
         version format_version;
-    let n_sections = Int32.to_int (String.get_int32_le s 12) in
-    if n_sections < 0 then
-      err "negative section count %d at byte offset 12" n_sections;
-    let payload_len = word_at s 16 in
-    let digest = String.sub s 24 16 in
+    (* the length word is outside the checksum *)
+    let payload_len = read_u64 { s; pos = 12; limit = header_len } in
+    let digest = String.sub s 20 16 in
     if String.length s - header_len < payload_len then
       err
         "truncated payload (header declares %d bytes, file ends at byte \
@@ -688,61 +679,16 @@ module Snapshot = struct
       err "checksum mismatch (corrupt snapshot payload in bytes %d..%d)"
         header_len
         (header_len + payload_len - 1);
-    let limit = header_len + payload_len in
-    (* Section bodies are located in place; only non-core sections (geo,
-       bandwidth — small) are materialised as substrings.  The core body
-       is decoded directly out of [s]. *)
-    let cur = { s; pos = header_len; limit } in
-    let read_section () =
-      if cur.pos + 2 > limit then
-        err "truncated section header at byte offset %d" cur.pos;
-      let tag_len =
-        Char.code s.[cur.pos] lor (Char.code s.[cur.pos + 1] lsl 8)
-      in
-      cur.pos <- cur.pos + 2;
-      if cur.pos + tag_len > limit then
-        err "truncated section tag at byte offset %d" cur.pos;
-      let tag = String.sub s cur.pos tag_len in
-      cur.pos <- cur.pos + tag_len;
-      let body_len = read_u64 cur in
-      (* [cur.pos + body_len] could overflow; the difference cannot *)
-      if body_len > limit - cur.pos then
-        err "truncated section %S at byte offset %d (declares %d bytes, %d \
-             available)"
-          tag cur.pos body_len (limit - cur.pos);
-      let body_pos = cur.pos in
-      cur.pos <- cur.pos + body_len;
-      (tag, body_pos, body_len)
-    in
-    let sections = List.init n_sections (fun _ -> read_section ()) in
-    if cur.pos <> limit then
-      err "payload has %d trailing bytes at byte offset %d" (limit - cur.pos)
-        cur.pos;
-    match
-      List.find_opt (fun (tag, _, _) -> String.equal tag core_tag) sections
-    with
-    | None -> err "missing %S section" core_tag
-    | Some (_, body_pos, body_len) ->
-        let t = decode_core s body_pos (body_pos + body_len) in
-        let extras =
-          List.filter_map
-            (fun (tag, pos, len) ->
-              if String.equal tag core_tag then None
-              else Some (tag, String.sub s pos len))
-            sections
-        in
-        (t, extras)
+    decode_core s header_len (String.length s)
 
-  let save path ?sections t =
-    let data = to_string ?sections t in
+  let save path t =
+    let data = to_string t in
     Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
 
-  let load_with_sections path =
+  let load path =
     let data = In_channel.with_open_bin path In_channel.input_all in
-    let result = of_string data in
+    let t = of_string data in
     Obs.incr "topology.snapshot.load";
-    Obs.incr ~by:(num_ases (fst result)) "topology.snapshot.ases";
-    result
-
-  let load path = fst (load_with_sections path)
+    Obs.incr ~by:(num_ases t) "topology.snapshot.ases";
+    t
 end

@@ -210,43 +210,37 @@ end
 
 (** Versioned binary snapshots of the frozen view.
 
-    A snapshot file is a small container: an 8-byte magic, a format
-    version, a section count, the payload length, and an MD5 checksum of
-    the payload, followed by tagged sections.  The mandatory ["core"]
-    section stores the interned-ASN table and the three relationship
-    classes in CSR form (row offsets as prefix sums, then the entries),
-    so [load] reads each row straight out of the image into the exact
-    frozen view, without re-parsing or re-freezing — a full-CAIDA
-    service starts in milliseconds.  Extra sections (geo and bandwidth tables, see
-    {!Snapshot}) ride in the same container under the same checksum.
+    A snapshot file is the frozen core behind a 36-byte header: an
+    8-byte magic, a u32 format version, the u64 payload length, and an
+    MD5 checksum of the payload.  The payload stores the interned-ASN
+    table and the three relationship classes in CSR form (row offsets as
+    prefix sums, then the entries), so [load] reads each row straight
+    out of the image into the exact frozen view, without re-parsing or
+    re-freezing — a full-CAIDA service starts in milliseconds.
 
     Stale or damaged files are rejected loudly: bad magic, an unknown
     format version, a truncated payload, and a checksum mismatch each
     raise [Invalid_argument] with a distinct message — never a decode
     crash on corrupt bytes.  So is a u64 field whose value does not fit
-    in an OCaml int, at its byte offset, so two images never decode to
-    the same view. *)
+    in an OCaml int, or a negative length, at its byte offset, so two
+    images never decode to the same view. *)
 module Snapshot : sig
   val format_version : int
   (** Bumped whenever the binary layout changes; [load] refuses other
       versions. *)
 
-  val to_string : ?sections:(string * string) list -> t -> string
-  (** Serialize; [sections] are extra [(tag, body)] pairs appended after
-      the core section (tags must be unique and not ["core"]). *)
+  val to_string : t -> string
+  (** Serialize.  Equal views give equal bytes. *)
 
-  val of_string : string -> t * (string * string) list
-  (** Parse a snapshot image; returns the frozen view and any extra
-      sections.  @raise Invalid_argument on any malformed input. *)
+  val of_string : string -> t
+  (** Parse a snapshot image.
+      @raise Invalid_argument on any malformed input. *)
 
-  val save : string -> ?sections:(string * string) list -> t -> unit
+  val save : string -> t -> unit
   (** Write [to_string] to a file. *)
 
   val load : string -> t
-  (** Read a file and decode the core section (extra sections ignored).
-      Records [topology.snapshot.load] / [topology.snapshot.ases] when
-      {!Pan_obs.Obs} is configured.
+  (** Read and decode a snapshot file.  Records [topology.snapshot.load]
+      / [topology.snapshot.ases] when {!Pan_obs.Obs} is configured.
       @raise Invalid_argument as {!of_string}, [Sys_error] on I/O. *)
-
-  val load_with_sections : string -> t * (string * string) list
 end

@@ -127,30 +127,6 @@ let of_locations g locations =
 let as_location t x = Hashtbl.find t.as_loc x
 let link_location t x y = Hashtbl.find t.link_loc (link_key x y)
 
-(* Deterministic table dumps for the binary snapshot: ascending ASN for
-   AS locations, lexicographic (normalized) key order for link midpoints,
-   so equal tables are equal bytes. *)
-let bindings t =
-  let as_rows =
-    Hashtbl.fold (fun x p acc -> (x, p) :: acc) t.as_loc []
-    |> List.sort (fun (x1, _) (x2, _) -> Asn.compare x1 x2)
-  in
-  let link_rows =
-    Hashtbl.fold (fun k p acc -> (k, p) :: acc) t.link_loc []
-    |> List.sort (fun ((a1, b1), _) ((a2, b2), _) ->
-           match Asn.compare a1 a2 with 0 -> Asn.compare b1 b2 | c -> c)
-  in
-  (as_rows, link_rows)
-
-let of_bindings as_rows link_rows =
-  let as_loc = Hashtbl.create (2 * List.length as_rows) in
-  List.iter (fun (x, p) -> Hashtbl.replace as_loc x p) as_rows;
-  let link_loc = Hashtbl.create (2 * List.length link_rows) in
-  List.iter
-    (fun ((x, y), p) -> Hashtbl.replace link_loc (link_key x y) p)
-    link_rows;
-  { as_loc; link_loc }
-
 let path3_geodistance t a1 a2 a3 =
   let l12 = link_location t a1 a2 and l23 = link_location t a2 a3 in
   distance_km (as_location t a1) l12

@@ -52,12 +52,3 @@ val link_location : t -> Asn.t -> Asn.t -> point
 val path3_geodistance : t -> Asn.t -> Asn.t -> Asn.t -> float
 (** [path3_geodistance t a1 a2 a3] is the geodistance in km of the length-3
     path [a1 - a2 - a3]. *)
-
-val bindings : t -> (Asn.t * point) list * ((Asn.t * Asn.t) * point) list
-(** The full AS-location and link-location tables in deterministic order
-    (ASes ascending; links by normalized key), for the {!Snapshot} geo
-    section. *)
-
-val of_bindings :
-  (Asn.t * point) list -> ((Asn.t * Asn.t) * point) list -> t
-(** Rebuild an embedding from dumped tables; inverse of {!bindings}. *)

@@ -332,11 +332,19 @@ let arbitrary_intent =
     oneofl
       Intent.[ Latency; Nlatency; Bandwidth; Nbandwidth; Hops ]
   in
+  (* weights span magnitudes: %g prints 1e12 and up, and 1e-5 and down,
+     with an exponent *)
+  let weight =
+    oneof
+      [
+        oneofl [ 0.25; 0.5; 1.0; 2.0; 2.5; 3.0; 10.0; 1e12; 1e-12; -1e12 ];
+        map2
+          (fun m e -> m *. (10.0 ** float_of_int e))
+          (float_range (-10.0) 10.0) (int_range (-20) 20);
+      ]
+  in
   let term =
-    map2
-      (fun weight component -> { Intent.weight; component })
-      (oneofl [ 0.25; 0.5; 1.0; 2.0; 2.5; 3.0; 10.0 ])
-      component
+    map2 (fun weight component -> { Intent.weight; component }) weight component
   in
   let gen =
     let* metric = list_size (int_range 1 4) term in

@@ -836,16 +836,24 @@ let test_serve_mode_equal () =
 (* ------------------------------------------------------------------ *)
 (* Stream format                                                       *)
 
+(* Each stream is drawn twice: with policy queries, and with intent
+   queries whose weights print with an exponent. *)
 let qcheck_stream_roundtrip =
+  let intent =
+    Pan_intent.Intent.parse_exn "metric=1e12*latency+1e-12*hops; k=3"
+  in
   QCheck.Test.make ~count:25 ~name:"Stream: parse (to_string s) = s"
     QCheck.(pair (int_range 1 10_000) (int_range 0 60))
     (fun (seed, requests) ->
       let topo = Compact.freeze (gen_graph seed) in
-      let s =
-        Stream.generate ~rng:(Rng.create (seed + 1)) ~topo ~requests
-          ~churn:0.4 ()
-      in
-      Stream.parse (Stream.to_string s) = s)
+      List.for_all
+        (fun intent ->
+          let s =
+            Stream.generate ?intent ~rng:(Rng.create (seed + 1)) ~topo
+              ~requests ~churn:0.4 ()
+          in
+          Stream.parse (Stream.to_string s) = s)
+        [ None; Some intent ])
 
 let test_stream_parse_errors () =
   let expect name msg input =
