@@ -28,11 +28,12 @@ bench-topo:
 	dune exec bench/main.exe -- topo
 
 # BOSCO best-response kernel sweep: time per best response of the fast
-# O(W log W) kernel vs the O(W²) reference of the test-only pan_oracle
-# library at W ∈ {8..2048}, plus the Service.trials --jobs determinism
-# check; exits non-zero on any threshold or fingerprint mismatch (CI
-# runs the `bosco-smoke` variant, capped at W = 128, through
-# bench-snapshot-smoke).
+# O(W) kernel vs the O(W²) reference of the test-only pan_oracle
+# library at W ∈ {8..2048}, time, rounds and minor words per
+# Service.negotiate through one workspace at W ∈ {8, 16, 24, 48}, plus
+# the Service.trials --jobs determinism check; exits non-zero on any
+# threshold or fingerprint mismatch (CI runs the `bosco-smoke` variant,
+# capped at W = 128, through bench-snapshot-smoke).
 bench-bosco:
 	dune exec bench/main.exe -- bosco
 

@@ -29,10 +29,12 @@
    determinism on the fly.
 
    Part 7 measures the BOSCO best-response kernel (lib/bosco
-   Strategy/Workspace): time per best response of the O(W log W)
+   Strategy/Workspace): time per best response of the O(W)
    Strategy.best_response vs the oracle's O(W²) reference across
-   choice-set sizes, verifying equal thresholds, then --jobs 1 =
-   --jobs 4 determinism of Service.trials.
+   choice-set sizes, verifying equal thresholds; time, rounds and
+   minor-heap words per Service.negotiate through one long-lived
+   workspace at W ∈ {8, 16, 24, 48}; then --jobs 1 = --jobs 4
+   determinism of Service.trials.
 
    Part 8 measures the supervised runner (lib/runner Supervise/Fault):
    the E1 kernel fault-free vs supervised-with-retries vs under injected
@@ -658,7 +660,7 @@ let thresholds_fingerprint s =
   Array.to_list (Array.map (Printf.sprintf "%.9g") (Strategy.thresholds s))
 
 let bosco_kernel_bench sizes =
-  section "BOSCO kernel: fast O(W log W) vs reference O(W^2) best response";
+  section "BOSCO kernel: fast O(W) vs reference O(W^2) best response";
   Format.fprintf fmt "%-6s %6s %13s %13s %9s  %s@." "W" "reps" "ref (us)"
     "fast (us)" "speedup" "equal";
   let ok = ref true in
@@ -666,8 +668,8 @@ let bosco_kernel_bench sizes =
     (fun w ->
       (* Fresh claims per size, same seed.  Both kernels answer the
          opponent strategies the dynamics start from and end at; each
-         response gets a fresh workspace, so no CDF cache hit flatters
-         the fast kernel.  Repetitions keep small-W timings above clock
+         fast response gets a fresh workspace, as the reference builds
+         its own arrays.  Repetitions keep small-W timings above clock
          noise. *)
       let rng = Rng.create 42 in
       let dist = Fig2_pod.u1 in
@@ -708,6 +710,51 @@ let bosco_kernel_bench sizes =
     sizes;
   !ok
 
+(* Whole negotiations as the marketplace runs them: one long-lived
+   workspace for every size, the truthful benchmark computed once, and a
+   fresh game per negotiation from one generator.  Wall time, rounds and
+   minor-heap words per negotiation, and words per best-response round
+   (the dynamics plus the efficiency scoring, divided by the rounds). *)
+let bosco_negotiation_bench n =
+  section "BOSCO negotiation: Service.negotiate through one workspace";
+  Format.fprintf fmt "%-4s %6s %16s %8s %18s %13s@." "W" "count"
+    "us/negotiation" "rounds" "words/negotiation" "words/round";
+  let dist = Fig2_pod.u1 in
+  let truthful =
+    Efficiency.expected_nash_truthful
+      Game.
+        {
+          dist_x = dist;
+          dist_y = dist;
+          claims_x = Claim.of_list [];
+          claims_y = Claim.of_list [];
+        }
+  in
+  let workspace = Workspace.create () in
+  List.iter
+    (fun w ->
+      let negotiate rng =
+        Service.negotiate ~truthful ~workspace ~rng ~dist_x:dist ~dist_y:dist
+          ~w ()
+      in
+      ignore (negotiate (Rng.create 1) : Service.report);
+      let rng = Rng.create 42 and rounds = ref 0 in
+      let words0 = Gc.minor_words () in
+      let (), t =
+        time (fun () ->
+            for _ = 1 to n do
+              rounds := !rounds + (negotiate rng).Service.rounds
+            done)
+      in
+      let words = Gc.minor_words () -. words0 in
+      let per x = x /. float_of_int n in
+      Format.fprintf fmt "%-4d %6d %16.1f %8.1f %18.0f %13.0f@." w n
+        (per t *. 1e6)
+        (per (float_of_int !rounds))
+        (per words)
+        (words /. float_of_int !rounds))
+    [ 8; 16; 24; 48 ]
+
 (* ------------------------------------------------------------------ *)
 (* BENCH_<part>.json emission (Pan_obs.Bench_snap)                     *)
 
@@ -719,6 +766,7 @@ let emit_snapshot snap =
    fingerprints must agree, and BENCH_bosco.json records them. *)
 let run_bosco scale =
   let ok_kernel = bosco_kernel_bench (bosco_sizes scale) in
+  bosco_negotiation_bench (match scale with `Smoke -> 200 | `Full -> 5000);
   section "BOSCO kernel: Service.trials --jobs 1 vs --jobs 4";
   let trials pool =
     let rng = Rng.create 42 in

@@ -16,11 +16,22 @@ let of_list claims =
 let values t = t
 let cardinality t = Array.length t
 
+(* Choice sets are built once per game and never copied, so the
+   dynamics compare a set with itself: the physical test settles it (no
+   claim is NaN, so every element equals itself). *)
 let equal ?(tol = 0.0) t1 t2 =
-  Array.length t1 = Array.length t2
-  && Array.for_all2
-       (fun a b -> a = b || Float.abs (a -. b) <= tol)
-       t1 t2
+  t1 == t2
+  ||
+  let n = Array.length t1 in
+  n = Array.length t2
+  &&
+  let i = ref 0 in
+  while
+    !i < n && (t1.(!i) = t2.(!i) || Float.abs (t1.(!i) -. t2.(!i)) <= tol)
+  do
+    incr i
+  done;
+  !i = n
 
 let sample rng dist w =
   if w < 1 then invalid_arg "Claim.sample: w < 1";

@@ -5,41 +5,43 @@ open Pan_numerics
    hence the transfer) are fixed by the interval pair. *)
 let expected_nash ?workspace (game : Game.t) sx sy =
   let open Game in
+  let ws =
+    match workspace with Some ws -> ws | None -> Workspace.create ()
+  in
   let vx = Claim.values (Strategy.claims sx) in
   let vy = Claim.values (Strategy.claims sy) in
   let thx = Strategy.thresholds sx and thy = Strategy.thresholds sy in
-  let probabilities dist s =
-    match workspace with
-    | Some ws -> Workspace.choice_probabilities ws dist (Strategy.thresholds s)
-    | None -> Strategy.choice_probabilities dist s
-  in
-  let px = probabilities game.dist_x sx in
-  let py = probabilities game.dist_y sy in
-  let pex =
-    Array.init (Array.length vx) (fun i ->
-        if px.(i) = 0.0 then 0.0
-        else Distribution.partial_expectation game.dist_x thx.(i) thx.(i + 1))
-  in
-  let pey =
-    Array.init (Array.length vy) (fun j ->
-        if py.(j) = 0.0 then 0.0
-        else Distribution.partial_expectation game.dist_y thy.(j) thy.(j + 1))
-  in
-  let total = ref 0.0 in
-  Array.iteri
-    (fun i vi ->
-      if vi > neg_infinity && px.(i) > 0.0 then
-        Array.iteri
-          (fun j vj ->
-            if vj > neg_infinity && py.(j) > 0.0 && vi +. vj >= 0.0 then begin
-              let pi = (vi -. vj) /. 2.0 in
-              let x_factor = pex.(i) -. (pi *. px.(i)) in
-              let y_factor = pey.(j) +. (pi *. py.(j)) in
-              total := !total +. (x_factor *. y_factor)
-            end)
-          vy)
-    vx;
-  !total
+  let nx = Array.length vx and ny = Array.length vy in
+  let px, py = Workspace.pair_scratch ws nx ny in
+  let pex, pey = Workspace.moment_scratch ws nx ny in
+  Strategy.choice_probabilities_into game.dist_x sx px;
+  Strategy.choice_probabilities_into game.dist_y sy py;
+  for i = 0 to nx - 1 do
+    pex.(i) <-
+      (if px.(i) = 0.0 then 0.0
+       else Distribution.partial_expectation game.dist_x thx.(i) thx.(i + 1))
+  done;
+  for j = 0 to ny - 1 do
+    pey.(j) <-
+      (if py.(j) = 0.0 then 0.0
+       else Distribution.partial_expectation game.dist_y thy.(j) thy.(j + 1))
+  done;
+  (* a flat float cell: the loops add to it unboxed *)
+  let total = [| 0.0 |] in
+  for i = 0 to nx - 1 do
+    let vi = vx.(i) in
+    if vi > neg_infinity && px.(i) > 0.0 then
+      for j = 0 to ny - 1 do
+        let vj = vy.(j) in
+        if vj > neg_infinity && py.(j) > 0.0 && vi +. vj >= 0.0 then begin
+          let pi = (vi -. vj) /. 2.0 in
+          let x_factor = pex.(i) -. (pi *. px.(i)) in
+          let y_factor = pey.(j) +. (pi *. py.(j)) in
+          total.(0) <- total.(0) +. (x_factor *. y_factor)
+        end
+      done
+  done;
+  total.(0)
 
 let expected_nash_truthful ?(grid = 400) (game : Game.t) =
   let open Game in

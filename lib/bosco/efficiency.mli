@@ -9,9 +9,9 @@
 
 val expected_nash :
   ?workspace:Workspace.t -> Game.t -> Strategy.t -> Strategy.t -> float
-(** [E(N | (σ_X, σ_Y))] of Eq. 19.  [workspace] reuses choice
-    probabilities cached during the preceding best-response dynamics
-    (identical values, no recomputation). *)
+(** [E(N | (σ_X, σ_Y))] of Eq. 19.  [workspace] holds both parties'
+    choice probabilities and partial moments; without it a private
+    workspace is allocated. *)
 
 val expected_nash_truthful : ?grid:int -> Game.t -> float
 (** [E(N | σ^T)] where both parties claim their true utilities; [grid]

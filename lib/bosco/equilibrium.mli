@@ -31,11 +31,11 @@ val best_response_dynamics :
 (** Alternate exact best responses from the chosen starting strategies
     until a fixed point (tolerance [tol], default [1e-9]) or [max_rounds]
     (default 2000).  [workspace] (created internally when absent)
-    carries the {!Strategy.best_response} buffers and the opponent CDF
-    cache across rounds, so a round allocates only its two threshold
-    arrays.  Adds the executed round count to the [bosco.br.rounds]
-    counter and records each response's duration in the
-    [bosco.br.response] histogram. *)
+    carries the {!Strategy.best_response} buffers across rounds, so a
+    round allocates its two strategies and the boxed arguments and
+    results of the CDF calls.  Adds the executed round count to the
+    [bosco.br.rounds] counter and records each response's duration in
+    the [bosco.br.response] histogram. *)
 
 val is_equilibrium :
   ?workspace:Workspace.t ->

@@ -28,17 +28,11 @@ let nash_value ~u_x:_ ~u_y:_ = function
   | Cancelled -> 0.0
   | Concluded { u_x_after; u_y_after; _ } -> u_x_after *. u_y_after
 
-let expected_after_utility_x ?workspace t ~opponent ~u_x ~v_x =
+let expected_after_utility_x t ~opponent ~u_x ~v_x =
   if v_x = neg_infinity then 0.0
   else begin
     let values = Claim.values (Strategy.claims opponent) in
-    let probs =
-      match workspace with
-      | Some ws ->
-          Workspace.choice_probabilities ws t.dist_y
-            (Strategy.thresholds opponent)
-      | None -> Strategy.choice_probabilities t.dist_y opponent
-    in
+    let probs = Strategy.choice_probabilities t.dist_y opponent in
     let acc = ref 0.0 in
     Array.iteri
       (fun j v_y ->

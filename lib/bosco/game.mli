@@ -37,15 +37,12 @@ val nash_value : u_x:float -> u_y:float -> outcome -> float
     after-negotiation utilities on conclusion, 0 on cancellation. *)
 
 val expected_after_utility_x :
-  ?workspace:Workspace.t ->
   t ->
   opponent:Strategy.t ->
   u_x:float ->
   v_x:float ->
   float
 (** [E(ū_X)(u_X, v_X)] of Eq. 14 — the quantity best responses maximize.
-    Exposed so tests can verify Algorithm 1 against brute force.
-    [workspace] reuses cached opponent choice probabilities (identical
-    values, no recomputation). *)
+    Exposed so tests can verify Algorithm 1 against brute force. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

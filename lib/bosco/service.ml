@@ -24,9 +24,8 @@ let negotiate ?(construction = Random_sampling) ?truthful ?workspace ~rng
   let claims_x = build_claims construction rng dist_x w in
   let claims_y = build_claims construction rng dist_y w in
   let game = Game.{ dist_x; dist_y; claims_x; claims_y } in
-  (* One workspace per negotiation: buffers and the CDF cache live across
-     every dynamics round and the efficiency scoring, and cache traffic
-     stays independent of how trials are scheduled onto domains. *)
+  (* One workspace serves every dynamics round and the efficiency
+     scoring; a caller that runs many negotiations passes its own. *)
   let workspace =
     match workspace with Some ws -> ws | None -> Workspace.create ()
   in

@@ -39,42 +39,59 @@ let apply t u =
   let i = Stdlib.min (go 0 (w - 1)) (w - 1) in
   (Claim.values t.claims).(i)
 
-let choice_probabilities dist t =
+let cdf_at dist x =
+  if x = neg_infinity then 0.0
+  else if x = infinity then 1.0
+  else Distribution.cdf dist x
+
+(* Eq. 15 with one CDF evaluation per threshold point: [dst.(i)] first
+   holds F(t_{i+1}), then a right-to-left pass turns it into
+   max 0 (F(t_{i+1}) − F(t_i)).  The CDF is a pure function, so these are
+   the floats of evaluating both ends of every interval, bit for bit. *)
+let choice_probabilities_into dist t dst =
   let th = t.thresholds in
   let w = Array.length th - 1 in
-  let cdf x =
-    if x = neg_infinity then 0.0
-    else if x = infinity then 1.0
-    else Distribution.cdf dist x
-  in
-  Array.init w (fun i -> Float.max 0.0 (cdf th.(i + 1) -. cdf th.(i)))
+  for i = 0 to w - 1 do
+    dst.(i) <- cdf_at dist th.(i + 1)
+  done;
+  for i = w - 1 downto 1 do
+    dst.(i) <- Float.max 0.0 (dst.(i) -. dst.(i - 1))
+  done;
+  dst.(0) <- Float.max 0.0 (dst.(0) -. cdf_at dist th.(0))
 
-(* Algorithm 1: the upper envelope of the claims' lines, in O(W log W).
+let choice_probabilities dist t =
+  let dst = Array.make (Array.length t.thresholds - 1) 0.0 in
+  choice_probabilities_into dist t dst;
+  dst
+
+(* Algorithm 1: the upper envelope of the claims' lines, in O(W).
 
    Eq. 16/17 for own claim v against the opponent's sorted claims v_y and
    choice probabilities p: the qualifying set {j : v_y(j) >= -v} is a
    suffix, so
      m(v) = Σ_suffix p_j            and
      q(v) = ½ (Σ_suffix p_j·v_y(j)  −  v·m(v))
-   are suffix sums accumulated from the tail, with the suffix boundary
-   found by binary search (own claims need one search each).  Suffix
-   sums — not differences of prefix sums: a tail of tiny probability
-   mass would be cancelled away by [total − prefix] (absolute error of
-   the total, catastrophic relative error of the tail), whereas a
-   right-to-left accumulation of non-negative terms keeps every suffix
-   to full relative precision, like per-claim sums over the same terms.
-   The upper envelope of the resulting lines is a single monotone pass:
-   slopes are non-decreasing in the claim index, so a stack walk pops
-   every line whose interval the next line empties — the convex-hull
-   trick.  Among parallel lines only the first maximal-intercept one
-   survives: equal slopes form a contiguous run (slopes are monotone),
-   so this is a check against the stack top.
+   are suffix sums accumulated from the tail.  Own claims ascend, so
+   their suffix boundaries descend: one walk down the opponent's claims
+   finds them all.  Suffix sums — not differences of prefix sums: a tail
+   of tiny probability mass would be cancelled away by [total − prefix]
+   (absolute error of the total, catastrophic relative error of the
+   tail), whereas a right-to-left accumulation of non-negative terms
+   keeps every suffix to full relative precision, like per-claim sums
+   over the same terms.  The opponent's cancel claim (-inf, index 0)
+   never qualifies, so the sums start at index 1; p·(-inf) would poison
+   them.  The upper envelope of the resulting lines is a single monotone
+   pass: slopes are non-decreasing in the claim index, so a stack walk
+   pops every line whose interval the next line empties — the
+   convex-hull trick.  Among parallel lines only the first
+   maximal-intercept one survives: equal slopes form a contiguous run
+   (slopes are monotone), so this is a check against the stack top.
 
-   All buffers and the opponent CDF evaluations come from the workspace,
-   so a best-response-dynamics round allocates nothing but the returned
-   threshold array.  Results agree with the O(W²) reference of the
-   test oracle library to the reassociation error of the suffix sums
-   (thresholds within ~1e-12; test/test_strategy_fast.ml pins this
+   Every buffer comes from the workspace and no float is boxed in the
+   loops, so a call allocates the returned strategy and the opponent
+   CDF's arguments and results.  Results agree with the O(W²) reference
+   of the test oracle library to the reassociation error of the suffix
+   sums (thresholds within ~1e-12; test/test_strategy_fast.ml pins this
    down). *)
 let best_response ?workspace ~opponent_dist ~opponent own_claims =
   let ws =
@@ -84,24 +101,18 @@ let best_response ?workspace ~opponent_dist ~opponent own_claims =
   let w = Array.length vx in
   let vy = Claim.values opponent.claims in
   let ny = Array.length vy in
-  let probs =
-    Workspace.choice_probabilities ws opponent_dist opponent.thresholds
-  in
-  (* pv.(0) is forced to 0: the opponent's cancel claim (-inf) never
-     qualifies (k >= 1 below), and p·(-inf) would poison the sums. *)
-  let pv = Workspace.pv_scratch ws ny in
-  pv.(0) <- 0.0;
-  for j = 1 to ny - 1 do
-    pv.(j) <- probs.(j) *. vy.(j)
-  done;
+  let probs = Workspace.probs_scratch ws ny in
+  choice_probabilities_into opponent_dist opponent probs;
   let suf_p, suf_pv = Workspace.suffix_scratch ws (ny + 1) in
   suf_p.(ny) <- 0.0;
   suf_pv.(ny) <- 0.0;
-  for j = ny - 1 downto 0 do
+  for j = ny - 1 downto 1 do
     suf_p.(j) <- probs.(j) +. suf_p.(j + 1);
-    suf_pv.(j) <- pv.(j) +. suf_pv.(j + 1)
+    suf_pv.(j) <- (probs.(j) *. vy.(j)) +. suf_pv.(j + 1)
   done;
   let slope, intercept = Workspace.line_scratch ws w in
+  (* k: the first opponent index >= 1 with vy.(k) >= -v, else ny *)
+  let k = ref ny in
   for i = 0 to w - 1 do
     let v = vx.(i) in
     if v = neg_infinity then begin
@@ -109,10 +120,13 @@ let best_response ?workspace ~opponent_dist ~opponent own_claims =
       intercept.(i) <- 0.0
     end
     else begin
-      let k = Prefix.lower_bound ~lo:1 ~hi:ny vy (-.v) in
-      let m = suf_p.(k) in
+      let x = -.v in
+      while !k > 1 && not (vy.(!k - 1) < x) do
+        decr k
+      done;
+      let m = suf_p.(!k) in
       slope.(i) <- m;
-      intercept.(i) <- 0.5 *. (suf_pv.(k) -. (v *. m))
+      intercept.(i) <- 0.5 *. (suf_pv.(!k) -. (v *. m))
     end
   done;
   (* Monotone envelope: stack of (line, interval start). *)
@@ -146,8 +160,7 @@ let best_response ?workspace ~opponent_dist ~opponent own_claims =
   done;
   (* Visited claims get their interval start, unvisited ones empty
      intervals (the paper's final fill loop). *)
-  let unset = Float.nan in
-  let th = Array.make (w + 1) unset in
+  let th = Array.make (w + 1) Float.nan in
   th.(0) <- neg_infinity;
   th.(w) <- infinity;
   for s = 0 to !top do
@@ -164,19 +177,29 @@ let best_response ?workspace ~opponent_dist ~opponent own_claims =
 
 let equal ?(tol = 1e-9) t1 t2 =
   Claim.equal ~tol t1.claims t2.claims
-  && Array.length t1.thresholds = Array.length t2.thresholds
-  && Array.for_all2
-       (fun a b ->
-         a = b || Float.abs (a -. b) <= tol)
-       t1.thresholds t2.thresholds
+  &&
+  let a = t1.thresholds and b = t2.thresholds in
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && (a.(!i) = b.(!i) || Float.abs (a.(!i) -. b.(!i)) <= tol) do
+    incr i
+  done;
+  !i = n
 
 let support_size ?workspace dist t =
-  let probs =
-    match workspace with
-    | Some ws -> Workspace.choice_probabilities ws dist t.thresholds
-    | None -> choice_probabilities dist t
+  let ws =
+    match workspace with Some ws -> ws | None -> Workspace.create ()
   in
-  Array.fold_left (fun acc p -> if p > 0.0 then acc + 1 else acc) 0 probs
+  let w = Array.length t.thresholds - 1 in
+  let probs = Workspace.probs_scratch ws w in
+  choice_probabilities_into dist t probs;
+  let n = ref 0 in
+  for i = 0 to w - 1 do
+    if probs.(i) > 0.0 then incr n
+  done;
+  !n
 
 let pp fmt t =
   let values = Claim.values t.claims in

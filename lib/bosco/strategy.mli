@@ -32,7 +32,13 @@ val apply : t -> float -> float
 (** [apply s u = σ(u)]: the claim played at true utility [u]. *)
 
 val choice_probabilities : Distribution.t -> t -> float array
-(** [P(σ(u) = v_i)] under the given utility distribution (Eq. 15). *)
+(** [P(σ(u) = v_i)] under the given utility distribution (Eq. 15): the
+    CDF evaluated once per threshold point, giving the same floats as
+    [max 0 (F(t_{i+1}) − F(t_i))] with both ends evaluated per interval. *)
+
+val choice_probabilities_into : Distribution.t -> t -> float array -> unit
+(** {!choice_probabilities} written to [dst.(0 .. W-1)] instead of a
+    fresh array; further elements of [dst] are left as they were. *)
 
 val best_response :
   ?workspace:Workspace.t ->
@@ -40,12 +46,12 @@ val best_response :
   opponent:t ->
   Claim.t ->
   t
-(** Algorithm 1: the upper-envelope best response in O(W log W) —
-    per-claim sums read off precomputed suffix sums with the suffix
-    boundary found by binary search, and the envelope by one monotone
-    stack pass over the slope-sorted lines.  [workspace] supplies
-    reusable buffers and the opponent-CDF cache; without it a private
-    workspace is allocated per call. *)
+(** Algorithm 1: the upper-envelope best response in O(W) — per-claim
+    sums read off precomputed suffix sums, the suffix boundaries found by
+    one walk down the opponent's claims, and the envelope by one
+    monotone stack pass over the slope-sorted lines.  [workspace]
+    supplies reusable buffers; without it a private workspace is
+    allocated per call. *)
 
 val equal : ?tol:float -> t -> t -> bool
 (** Same claim set ({!Claim.equal} with the same [tol]) and thresholds
@@ -53,6 +59,7 @@ val equal : ?tol:float -> t -> t -> bool
 
 val support_size : ?workspace:Workspace.t -> Distribution.t -> t -> int
 (** Number of claims played with positive probability — the paper's
-    "equilibrium choices" count (§V-E). *)
+    "equilibrium choices" count (§V-E).  [workspace] holds the
+    probabilities; without it a private workspace is allocated. *)
 
 val pp : Format.formatter -> t -> unit

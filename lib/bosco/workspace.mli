@@ -1,59 +1,38 @@
-(** Scratch buffers and CDF caching for the fast best-response kernel.
+(** Scratch buffers for the fast best-response kernel and the efficiency
+    scoring that follows it.
 
-    One workspace serves one best-response-dynamics run (and the
-    efficiency scoring that follows it): it owns every float array the
-    kernel needs per round, so after the first round no further
-    allocation happens, and it memoizes opponent choice probabilities —
-    the CDF evaluated at the opponent's threshold points — keyed by
-    (distribution, thresholds).  Entries are invalidated only by the
-    thresholds changing, which is exactly when the cached CDF values stop
-    being the right ones.
-
-    A workspace is scratch state only: every value it hands out is
-    bit-identical to the uncached computation, so reusing (or not
-    reusing) a workspace can never change results.  It is not
-    thread-safe; use one workspace per domain (the service allocates one
-    per negotiation, which trivially satisfies this and keeps the
-    [bosco.br.cdf_cache_*] counters independent of worker scheduling). *)
-
-open Pan_numerics
+    A workspace owns every float array a best-response round and
+    {!Efficiency.expected_nash} need, so once its buffers have grown to
+    the choice-set size a round allocates little more than the two
+    strategies it returns.  It holds no results between calls: every
+    buffer is written before it is read, so reusing a workspace across
+    rounds, negotiations or choice-set sizes can never change a result.
+    It is not thread-safe; use one per domain (the marketplace keeps one
+    per worker domain, {!Service.negotiate} creates one when given
+    none). *)
 
 type t
 
-val create : ?cache_capacity:int -> unit -> t
-(** [cache_capacity] bounds the opponent-CDF cache (default 8 entries,
-    enough for both parties of a few interleaved negotiations).  When a
-    long-lived workspace is reused across many negotiations — the
-    marketplace keeps one per domain — the cache evicts
-    least-recently-used entries past the cap instead of growing, so
-    million-negotiation runs stay flat.
-    @raise Invalid_argument if [cache_capacity < 1]. *)
+val create : unit -> t
 
-val clear_cache : t -> unit
-(** Drop every cached CDF entry (scratch buffers are kept).  Results are
-    unaffected — the cache is a pure memo — only the
-    [bosco.br.cdf_cache_*] hit/miss split changes. *)
+(** {2 Scratch} — buffers grown geometrically, contents unspecified;
+    each call returns arrays of length at least the request, valid until
+    the next call of the same function. *)
 
-val cache_size : t -> int
-(** Number of live CDF cache entries, [<= cache_capacity]. *)
+val probs_scratch : t -> int -> float array
+(** One strategy's choice probabilities: the opponent's inside
+    {!Strategy.best_response}, or the scored strategy's in
+    {!Strategy.support_size}. *)
 
-val cache_capacity : t -> int
+val pair_scratch : t -> int -> int -> float array * float array
+(** Both parties' choice probabilities at once, of lengths at least [nx]
+    and [ny] ({!Efficiency.expected_nash}); separate from
+    {!probs_scratch}. *)
 
-val choice_probabilities : t -> Distribution.t -> float array -> float array
-(** [choice_probabilities ws dist thresholds] is
-    [P(σ(u) = v_i)] for each strategy interval (Eq. 15), cached with
-    LRU eviction past the workspace's capacity.
-    The returned array is owned by the workspace and valid until the
-    next cache eviction — read it before the next series of calls, do
-    not retain or mutate it.  Distributions are keyed by physical
-    identity; thresholds by [==] or element-wise IEEE equality.
-    Increments [bosco.br.cdf_cache_hits]/[misses]. *)
+val moment_scratch : t -> int -> int -> float array * float array
+(** Both parties' per-interval partial expectations
+    ({!Efficiency.expected_nash}). *)
 
-(** {2 Kernel scratch} — buffers grown geometrically, contents
-    unspecified; each call returns arrays of length at least the request.
-    Internal to {!Strategy.best_response}. *)
-
-val pv_scratch : t -> int -> float array
 val suffix_scratch : t -> int -> float array * float array
 val line_scratch : t -> int -> float array * float array
 val stack_scratch : t -> int -> int array * float array

@@ -176,7 +176,7 @@ let parse_pos_int s name (tok, off) =
   | None -> fail s off "expected an integer %s, got %S" name tok
 
 let parse_float s name (tok, off) =
-  match float_of_string_opt tok with
+  match Pan_numerics.Decimal.float_of_string_opt tok with
   | Some f when Float.is_finite f -> f
   | _ -> fail s off "expected a finite number for %s, got %S" name tok
 

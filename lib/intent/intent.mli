@@ -24,6 +24,11 @@
     require=encrypted,monitored links must carry all listed attributes
     v}
 
+    Integers are plain decimal digits; weights and geo-fence numbers
+    are plain decimals with an optional [-] and exponent
+    ({!Pan_numerics.Decimal.float_of_string_opt}: [2.5], [-0.5],
+    [1e-12]; not [0x1p3] or [1_0]).
+
     Components: [latency] (proxy km), [nlatency] (latency / 1000),
     [bandwidth] (negated bottleneck capacity), [nbandwidth]
     (1000 / max 1 capacity), [hops] (AS count).  All metrics minimize;

@@ -9,15 +9,11 @@ type arena = { bosco : Workspace.t; econ : Econ_workspace.t }
 
 (* One arena per domain, created on the domain's first negotiation and
    reused for every later one it runs — no per-negotiation allocation of
-   kernel scratch, and the opponent-CDF cache is keyed per shard.
-   Workspaces are bit-identical scratch, so which domain runs which
-   negotiation can never change an outcome. *)
+   kernel scratch.  Workspaces hold no results between calls, so which
+   domain runs which negotiation can never change an outcome. *)
 let arena_key =
   Domain.DLS.new_key (fun () ->
-      {
-        bosco = Workspace.create ~cache_capacity:16 ();
-        econ = Econ_workspace.create ();
-      })
+      { bosco = Workspace.create (); econ = Econ_workspace.create () })
 
 let arena () = Domain.DLS.get arena_key
 

@@ -25,9 +25,9 @@
 open Pan_numerics
 open Pan_topology
 
-(** Per-domain scratch: one BOSCO workspace (bounded opponent-CDF cache)
-    and one econ workspace, created lazily per domain via [Domain.DLS]
-    and reused across every negotiation the domain runs. *)
+(** Per-domain scratch: one BOSCO workspace and one econ workspace,
+    created lazily per domain via [Domain.DLS] and reused across every
+    negotiation the domain runs. *)
 type arena = {
   bosco : Pan_bosco.Workspace.t;
   econ : Pan_econ.Econ_workspace.t;

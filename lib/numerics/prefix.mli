@@ -1,13 +1,11 @@
-(** Prefix/suffix sums and sorted-array search.
+(** Prefix/suffix sums and sorted-array search over float arrays.
 
-    The fast BOSCO best-response kernel reduces Eq. 16/17's per-claim sums
-    over the opponent's choice set to reads of precomputed suffix sums:
-    the set [{j : v_y(j) >= -v}] of a sorted choice set is a suffix, so
-    one O(W) scan plus a binary search per claim replaces the O(W²)
-    rescan.  Suffix sums rather than prefix-sum differences because the
-    latter cancel: a suffix of tiny probability mass would inherit the
-    absolute error of the total, while a tail-up accumulation of
-    non-negative terms keeps full relative precision. *)
+    Suffix sums rather than prefix-sum differences when a tail is
+    wanted: a suffix of tiny mass would inherit the absolute error of
+    the total, while a tail-up accumulation of non-negative terms keeps
+    full relative precision.  The BOSCO best-response kernel accumulates
+    its Eq. 16/17 suffix sums that way, inline in its workspace, and
+    finds their boundaries with one walk rather than {!lower_bound}. *)
 
 val exclusive_sums : float array -> float array
 (** [exclusive_sums xs] has length [n + 1] with element [i] the sum of

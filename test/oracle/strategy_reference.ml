@@ -7,12 +7,26 @@
 
 open Pan_bosco
 
+(* Eq. 15 as first written: the CDF evaluated at both ends of every
+   interval.  [Strategy.choice_probabilities] evaluates each threshold
+   point once and must give these floats bit for bit. *)
+let choice_probabilities_reference dist s =
+  let th = Strategy.thresholds s in
+  let cdf x =
+    if x = neg_infinity then 0.0
+    else if x = infinity then 1.0
+    else Pan_numerics.Distribution.cdf dist x
+  in
+  Array.init
+    (Array.length th - 1)
+    (fun i -> Float.max 0.0 (cdf th.(i + 1) -. cdf th.(i)))
+
 (* For each own claim [v_i], the coefficients [(m_i, q_i)] of the
    expected after-negotiation utility [m_i·u + q_i] given the opponent's
    strategy.  The cancel claim has coefficients [(0, 0)]. *)
 let line_coefficients ~opponent_dist ~opponent own_claims =
   let opp_values = Claim.values (Strategy.claims opponent) in
-  let opp_probs = Strategy.choice_probabilities opponent_dist opponent in
+  let opp_probs = choice_probabilities_reference opponent_dist opponent in
   Array.map
     (fun v ->
       if v = neg_infinity then (0.0, 0.0)

@@ -385,141 +385,54 @@ let test_service_grid_construction () =
   Alcotest.(check bool) "grid negotiation verifies" true (Service.verify r)
 
 (* ------------------------------------------------------------------ *)
-(* Workspace CDF cache: bounded, LRU, and a pure memo                  *)
+(* Workspace: scratch only, whatever ran through it before             *)
 
-let test_workspace_cache_eviction () =
-  Alcotest.check_raises "capacity < 1 rejected"
-    (Invalid_argument "Workspace.create: cache_capacity < 1") (fun () ->
-      ignore (Workspace.create ~cache_capacity:0 () : Workspace.t));
-  let ws = Workspace.create ~cache_capacity:2 () in
-  Alcotest.(check int) "capacity accessor" 2 (Workspace.cache_capacity ws);
-  let t1 = [| -0.5; 0.0; 0.5 |]
-  and t2 = [| -0.25; 0.25 |]
-  and t3 = [| -0.75; -0.1; 0.3; 0.8 |] in
-  let probe thresholds =
-    Array.copy (Workspace.choice_probabilities ws u1 thresholds)
+(* A long-lived workspace (the marketplace keeps one per domain) serves
+   negotiations of every choice-set size in turn, its buffers grown by
+   the largest and dirty from the last.  Each negotiation must equal the
+   same one through a fresh workspace bit for bit. *)
+let test_workspace_reuse_across_negotiations () =
+  let shared = Workspace.create () in
+  let sizes = [| 4; 24; 8; 48; 1; 16; 32 |] in
+  let dists = [| u1; Distribution.uniform (-0.5) 1.0 |] in
+  let truthful =
+    Array.map
+      (fun dist_y ->
+        Efficiency.expected_nash_truthful
+          Game.
+            {
+              dist_x = u1;
+              dist_y;
+              claims_x = Claim.of_list [];
+              claims_y = Claim.of_list [];
+            })
+      dists
   in
-  let p1 = probe t1 and p2 = probe t2 in
-  Alcotest.(check int) "two entries live" 2 (Workspace.cache_size ws);
-  (* hit: same physical thresholds return the cached array itself *)
-  Alcotest.(check bool) "t1 hit is physically cached" true
-    (Workspace.choice_probabilities ws u1 t1
-    == Workspace.choice_probabilities ws u1 t1);
-  (* t1 was just promoted to most-recent, so inserting t3 evicts t2 *)
-  let p3 = probe t3 in
-  Alcotest.(check int) "still at capacity" 2 (Workspace.cache_size ws);
-  Alcotest.(check bool) "t1 survived (was promoted)" true
-    (Array.copy (Workspace.choice_probabilities ws u1 t1) = p1);
-  (* recomputing the evicted entry is bit-identical to a fresh
-     workspace: eviction can never change results *)
-  let fresh = Workspace.create () in
-  Alcotest.(check bool) "evicted t2 recomputes bit-identically" true
-    (probe t2 = Array.copy (Workspace.choice_probabilities fresh u1 t2));
-  Alcotest.(check bool) "t3 stable across the t2 re-insertion" true
-    (probe t3 = p3);
-  Workspace.clear_cache ws;
-  Alcotest.(check int) "clear_cache empties" 0 (Workspace.cache_size ws);
-  Alcotest.(check bool) "post-clear recompute bit-identical" true
-    (probe t1 = p1 && probe t2 = p2 && probe t3 = p3)
-
-let test_workspace_capacity_invariant_negotiation () =
-  (* a cap of 1 forces an eviction on every opponent switch inside
-     best-response dynamics; the negotiation must not notice *)
-  let run workspace =
-    let rng = Rng.create 21 in
-    Service.negotiate ?workspace ~rng ~dist_x:u1 ~dist_y:u1 ~w:20 ()
-  in
-  let base = run None in
-  let tiny = run (Some (Workspace.create ~cache_capacity:1 ())) in
-  Alcotest.(check bool) "cache_capacity:1 negotiation bit-identical" true
-    (base.Service.pod = tiny.Service.pod
-    && base.Service.rounds = tiny.Service.rounds
-    && base.Service.converged = tiny.Service.converged)
-
-(* Capacity 1 is the adversarial LRU case: every distinct probe evicts,
-   every repeated probe must still promote-and-hit.  Interleaving two
-   distributions over the same thresholds pins the eviction order. *)
-let test_workspace_lru_capacity_one_interleaved () =
-  let ws = Workspace.create ~cache_capacity:1 () in
-  let d2 = Distribution.uniform 0.0 1.0 in
-  let thr = [| -0.5; 0.0; 0.5 |] in
-  let fresh dist =
-    Workspace.choice_probabilities (Workspace.create ()) dist thr
-  in
-  let p1 = Workspace.choice_probabilities ws u1 thr in
-  Alcotest.(check bool) "repeat probe hits (promote keeps the entry)" true
-    (Workspace.choice_probabilities ws u1 thr == p1);
-  Alcotest.(check int) "one entry" 1 (Workspace.cache_size ws);
-  (* structural-equality hit: a copy of the thresholds, same floats *)
-  Alcotest.(check bool) "threshold copy still hits" true
-    (Workspace.choice_probabilities ws u1 (Array.copy thr) == p1);
-  let p2 = Workspace.choice_probabilities ws d2 thr in
-  Alcotest.(check bool) "distribution switch misses" true (p2 != p1);
-  Alcotest.(check int) "still one entry" 1 (Workspace.cache_size ws);
-  Alcotest.(check bool) "d2 hit after eviction of d1" true
-    (Workspace.choice_probabilities ws d2 thr == p2);
-  let p1' = Workspace.choice_probabilities ws u1 thr in
-  Alcotest.(check bool) "re-inserted d1 is a fresh array" true (p1' != p1);
-  Alcotest.(check bool) "interleaved recomputes bit-identical" true
-    (Array.to_list p1' = Array.to_list (fresh u1)
-    && Array.to_list p2 = Array.to_list (fresh d2))
-
-(* Model-based interleaving property: the cache behaves as a reference
-   LRU over (distribution, thresholds) keys — hits return the physically
-   cached array, misses allocate, eviction drops exactly the
-   least-recently-used key — and every returned value is bit-identical
-   to an uncached computation. *)
-let qcheck_workspace_lru_interleaving =
-  QCheck.Test.make ~count:200
-    ~name:"workspace: CDF LRU = reference model under interleaved probes"
-    QCheck.(
-      pair (int_range 1 4)
-        (list_of_size Gen.(int_range 1 40)
-           (pair (int_range 0 5) QCheck.bool)))
-    (fun (capacity, ops) ->
-      let dists =
-        [|
-          Distribution.uniform (-1.0) 1.0;
-          Distribution.uniform 0.0 1.0;
-          Distribution.uniform (-2.0) 0.5;
-        |]
-      in
-      let thrs =
-        [|
-          [| -0.5; 0.0; 0.5 |];
-          [| -0.25; 0.25 |];
-          [| -0.75; -0.1; 0.3; 0.8 |];
-          [| -1.0; 1.0 |];
-          [| -0.9; -0.3; 0.6 |];
-          [| 0.0; 0.1; 0.2; 0.4 |];
-        |]
-      in
-      let key k = (dists.(k / 2), thrs.(k)) in
-      let ws = Workspace.create ~cache_capacity:capacity () in
-      let model = ref [] (* (key index, cached probs) MRU first *) in
-      List.for_all
-        (fun (k, use_copy) ->
-          let dist, thr = key k in
-          let expect = List.assoc_opt k !model in
-          let probs =
-            Workspace.choice_probabilities ws dist
-              (if use_copy then Array.copy thr else thr)
-          in
-          let reference =
-            Workspace.choice_probabilities (Workspace.create ()) dist thr
-          in
-          let ok =
-            match expect with
-            | Some cached -> probs == cached
-            | None -> List.for_all (fun (_, p) -> p != probs) !model
-          in
-          model :=
-            (k, probs) :: List.filter (fun (k', _) -> k' <> k) !model;
-          model := List.filteri (fun i _ -> i < capacity) !model;
-          ok
-          && Array.to_list probs = Array.to_list reference
-          && Workspace.cache_size ws = List.length !model)
-        ops)
+  let bits a = Array.map Int64.bits_of_float a in
+  for n = 0 to 199 do
+    let w = sizes.(n mod Array.length sizes) and d = n mod 2 in
+    let run workspace =
+      Service.negotiate ~truthful:truthful.(d) ?workspace
+        ~rng:(Rng.create (1000 + n)) ~dist_x:u1 ~dist_y:dists.(d) ~w ()
+    in
+    let fresh = run None and reused = run (Some shared) in
+    let same =
+      Int64.bits_of_float fresh.Service.pod
+      = Int64.bits_of_float reused.Service.pod
+      && fresh.Service.rounds = reused.Service.rounds
+      && fresh.Service.converged = reused.Service.converged
+      && bits (Strategy.thresholds fresh.Service.strategy_x)
+         = bits (Strategy.thresholds reused.Service.strategy_x)
+      && bits (Strategy.thresholds fresh.Service.strategy_y)
+         = bits (Strategy.thresholds reused.Service.strategy_y)
+      && fresh.Service.equilibrium_choices_x
+         = reused.Service.equilibrium_choices_x
+      && fresh.Service.equilibrium_choices_y
+         = reused.Service.equilibrium_choices_y
+    in
+    if not same then
+      Alcotest.failf "negotiation %d (W = %d): reused workspace differs" n w
+  done
 
 let suite =
   [
@@ -572,11 +485,6 @@ let suite =
       test_service_trials_and_best;
     Alcotest.test_case "service grid construction" `Quick
       test_service_grid_construction;
-    Alcotest.test_case "workspace cache eviction (LRU, bounded, pure)" `Quick
-      test_workspace_cache_eviction;
-    Alcotest.test_case "workspace capacity invariant under negotiation" `Quick
-      test_workspace_capacity_invariant_negotiation;
-    Alcotest.test_case "workspace LRU capacity 1, interleaved" `Quick
-      test_workspace_lru_capacity_one_interleaved;
-    QCheck_alcotest.to_alcotest qcheck_workspace_lru_interleaving;
+    Alcotest.test_case "workspace reuse across 200 negotiations = fresh"
+      `Quick test_workspace_reuse_across_negotiations;
   ]

@@ -389,6 +389,25 @@ let qcheck_intent_roundtrip =
       | Error (`Msg m) ->
           QCheck.Test.fail_reportf "%S did not parse: %s" (Intent.to_string t) m)
 
+(* The decimal reader takes back every finite double printed in C
+   decimal notation, exponent signs included (the intent printer's own
+   forms are the round-trip property's). *)
+let qcheck_decimal_float_reads_printed =
+  QCheck.Test.make ~count:1000 ~name:"Decimal float reader = printed double"
+    QCheck.(pair float (int_range (-300) 300))
+    (fun (m, e) ->
+      let x = if Float.is_finite m then m *. (10.0 ** float_of_int e) else 0.5 in
+      (not (Float.is_finite x))
+      || List.for_all
+           (fun s ->
+             match Pan_numerics.Decimal.float_of_string_opt s with
+             | Some y -> Int64.bits_of_float y = Int64.bits_of_float x
+             | None -> QCheck.Test.fail_reportf "%S did not read" s)
+           [
+             Printf.sprintf "%.17g" x;
+             Printf.sprintf "%.17e" x;
+           ])
+
 (* Whitespace and case-insensitive keywords normalize to the canonical
    form. *)
 let test_parse_normalizes () =
@@ -447,7 +466,31 @@ let test_parse_error_positions () =
   check_error "metric=latency; exclude-as=AS0o10" 1 28
     "expected an AS number like AS42, got \"AS0o10\"";
   check_error "metric=latency; exclude-as=AS3, AS-0" 1 33 "\"AS-0\"";
-  check_error "metric=latency; exclude-link=AS1-AS0x2" 1 34 "\"AS0x2\""
+  check_error "metric=latency; exclude-link=AS1-AS0x2" 1 34 "\"AS0x2\"";
+  (* weights and geo-fence numbers are plain decimals too *)
+  check_error "metric=0x1p3*latency+1_0*hops; k=2" 1 8
+    "expected a finite number for a metric weight, got \"0x1p3\"";
+  check_error "metric=latency+1_0*hops; k=2" 1 16
+    "expected a finite number for a metric weight, got \"1_0\"";
+  check_error "metric=latency; geo-fence=1_0,0x10,5_000" 1 27
+    "expected a finite number for geo-fence latitude, got \"1_0\"";
+  check_error "metric=latency; geo-fence=10,0x10,5000" 1 30
+    "expected a finite number for geo-fence longitude, got \"0x10\"";
+  check_error "metric=latency; geo-fence=10,16,5_000" 1 33
+    "expected a finite number for geo-fence radius, got \"5_000\"";
+  check_error "metric=+2*latency" 1 8 "unknown metric component";
+  check_error "metric=latency; geo-fence=+1,2,3" 1 27 "got \"+1\"";
+  check_error "metric=1e400*latency" 1 8 "expected a finite number";
+  check_error "metric=.*latency" 1 8 "got \".\"";
+  check_error "metric=1e*latency" 1 8 "got \"1e\"";
+  check_error "metric=latency; geo-fence=nan,0,1" 1 27 "got \"nan\"";
+  Alcotest.(check string) "decimal forms parse"
+    "metric=0.5*latency+0.0025*hops+5*nlatency; k=1; \
+     geo-fence=-33.9,151.2,1000"
+    (Intent.to_string
+       (Intent.parse_exn
+          "metric=.5*latency+2.5e-3*hops+5.*nlatency; \
+           geo-fence=-33.9,151.2,1E3"))
 
 (* A bad spec inside a stream line reports the 1-based column within
    that line (the embedder re-anchors intent columns). *)
@@ -679,6 +722,7 @@ let suite =
       "k_shortest reuse falls back when a root node or an avoided hop matters"
       `Quick test_reuse_fallback;
     QCheck_alcotest.to_alcotest qcheck_intent_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_decimal_float_reads_printed;
     Alcotest.test_case "parse normalizes to canonical form" `Quick
       test_parse_normalizes;
     Alcotest.test_case "parse errors carry line/column" `Quick

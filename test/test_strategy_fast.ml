@@ -7,6 +7,7 @@ open Pan_bosco
 module Reference = Pan_oracle.Strategy_reference
 
 let tol = 1e-12
+let u1 = Distribution.uniform (-1.0) 1.0
 
 (* ------------------------------------------------------------------ *)
 (* Prefix-sum helpers                                                  *)
@@ -137,16 +138,86 @@ let test_degenerate_cancel_only () =
     "W=1 thresholds" [| neg_infinity; infinity |]
     (Strategy.thresholds fast)
 
+(* The kernel writes the probabilities into workspace scratch that is
+   longer than W and dirty: the first W elements must be the fresh
+   array's bits, and the rest must stay untouched. *)
 let test_workspace_probs_bit_identical () =
   let rng = Rng.create 9 in
   let dist = Distribution.uniform (-1.0) 1.0 in
   let s = Strategy.truthful_rounding (Claim.sample rng dist 15) in
-  let ws = Workspace.create () in
-  let cached = Workspace.choice_probabilities ws dist (Strategy.thresholds s) in
+  let w = Claim.cardinality (Strategy.claims s) in
+  let dst = Array.make (w + 3) Float.nan in
+  Strategy.choice_probabilities_into dist s dst;
   let plain = Strategy.choice_probabilities dist s in
-  Alcotest.(check bool) "bitwise equal" true (cached = plain);
-  let again = Workspace.choice_probabilities ws dist (Strategy.thresholds s) in
-  Alcotest.(check bool) "second lookup hits cache" true (cached == again)
+  Alcotest.(check bool) "bitwise equal" true (Array.sub dst 0 w = plain);
+  Alcotest.(check bool) "spare untouched" true
+    (Array.for_all Float.is_nan (Array.sub dst w 3))
+
+(* Random strategies with +/-inf ends, repeated threshold points
+   (zero-width intervals) and points outside the support: one CDF
+   evaluation per point gives the two-evaluation form's bits, fresh and
+   written into dirty scratch. *)
+let qcheck_one_evaluation_probabilities =
+  QCheck.Test.make ~count:300
+    ~name:"one-evaluation probabilities = two-evaluation form (bits)"
+    QCheck.(
+      triple (int_range 0 2) (int_range 1 40)
+        (list_of_size Gen.(int_range 0 60) (int_range (-24) 24)))
+    (fun (pick, w, points) ->
+      let dist =
+        match pick with
+        | 0 -> Distribution.uniform (-1.0) 1.0
+        | 1 -> Distribution.uniform (-0.3) 1.7
+        | _ -> Distribution.gaussian 0.1 0.6
+      in
+      (* points on a 1/16 grid up to 1.5 on each side: many coincide,
+         and the uniform supports end inside the range *)
+      let grid =
+        Array.of_list (List.map (fun p -> float_of_int p /. 16.0) points)
+      in
+      Array.sort compare grid;
+      let n = Array.length grid in
+      let inner =
+        Array.init (w - 1) (fun i -> if n = 0 then 0.0 else grid.(i * n / w))
+      in
+      let thresholds =
+        Array.concat [ [| neg_infinity |]; inner; [| infinity |] ]
+      in
+      let claims = Claim.of_list (List.init (w - 1) float_of_int) in
+      let s = Strategy.of_thresholds claims thresholds in
+      let bits a = Array.map Int64.bits_of_float a in
+      let reference = bits (Reference.choice_probabilities_reference dist s) in
+      let dst = Array.make (w + 2) 7.0 in
+      Strategy.choice_probabilities_into dist s dst;
+      bits (Strategy.choice_probabilities dist s) = reference
+      && bits (Array.sub dst 0 w) = reference
+      && dst.(w) = 7.0 && dst.(w + 1) = 7.0)
+
+(* A best-response round through a warmed workspace allocates its two
+   strategies, the boxed arguments and results of the CDF closure and a
+   few words of call overhead: at most 32 words per threshold point. *)
+let test_round_allocation_budget () =
+  let w = 24 in
+  let rng = Rng.create 42 in
+  let game =
+    Game.
+      {
+        dist_x = u1;
+        dist_y = u1;
+        claims_x = Claim.sample rng u1 w;
+        claims_y = Claim.sample rng u1 w;
+      }
+  in
+  let workspace = Workspace.create () in
+  ignore (Equilibrium.best_response_dynamics ~workspace game);
+  let before = Gc.minor_words () in
+  let eq = Equilibrium.best_response_dynamics ~workspace game in
+  let words = Gc.minor_words () -. before in
+  let per_round = words /. float_of_int eq.Equilibrium.rounds in
+  if per_round > float_of_int (32 * (w + 1)) then
+    Alcotest.failf "%.0f minor words per round over %d rounds (budget %d)"
+      per_round eq.Equilibrium.rounds
+      (32 * (w + 1))
 
 let test_strategy_equal_claim_tol () =
   (* Satellite check: Strategy.equal compares claims with the same
@@ -165,8 +236,6 @@ let test_strategy_equal_claim_tol () =
 
 (* ------------------------------------------------------------------ *)
 (* Golden: the pipeline's output across the kernel swap                *)
-
-let u1 = Distribution.uniform (-1.0) 1.0
 
 (* (pod, rounds, converged, choices_x, choices_y) captured from
    Service.trials BEFORE the fast kernel existed (hex literals: exact
@@ -245,6 +314,9 @@ let suite =
       test_degenerate_cancel_only;
     Alcotest.test_case "workspace probabilities bit-identical" `Quick
       test_workspace_probs_bit_identical;
+    QCheck_alcotest.to_alcotest qcheck_one_evaluation_probabilities;
+    Alcotest.test_case "allocation budget: one round at W = 24" `Quick
+      test_round_allocation_budget;
     Alcotest.test_case "Strategy.equal applies tol to claims" `Quick
       test_strategy_equal_claim_tol;
     Alcotest.test_case "golden: Fast kernel same decisions" `Quick
